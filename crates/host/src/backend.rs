@@ -16,7 +16,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use lnic_mlambda::cost::{exec_cycles, mem_charge_cycles};
-use lnic_mlambda::interp::{Execution, HeaderValues, ObjectMemory, RequestCtx, StepOutcome};
+use lnic_mlambda::interp::{Code, Execution, HeaderValues, ObjectMemory, RequestCtx, StepOutcome};
 use lnic_mlambda::ir::retcode;
 use lnic_mlambda::program::{DispatchCtx, DispatchResult, Program};
 use lnic_net::frag::Reassembler;
@@ -87,6 +87,9 @@ pub struct HostCounters {
     /// carried a stale fencing token (answered with `RC_FENCED`, not
     /// executed).
     pub fenced_rejects: u64,
+    /// Deploys refused because the program failed to decode
+    /// ([`Code::decode`]); the previous program keeps serving.
+    pub rejected_programs: u64,
 }
 
 #[derive(Debug)]
@@ -166,6 +169,8 @@ pub struct HostBackend {
     services: HashMap<u16, ServiceEndpoint>,
 
     program: Option<Arc<Program>>,
+    /// `program`, decoded once at install.
+    code: Option<Arc<Code>>,
     deployed_mem: Vec<ObjectMemory>,
 
     workers: Vec<Worker>,
@@ -218,6 +223,7 @@ impl HostBackend {
             uplink,
             services: HashMap::new(),
             program: None,
+            code: None,
             deployed_mem: Vec::new(),
             workers,
             idle,
@@ -254,7 +260,9 @@ impl HostBackend {
         self.services.get(&id).copied()
     }
 
-    /// Deploys a program immediately (experiment setup).
+    /// Deploys a program immediately (experiment setup). A program that
+    /// does not decode is refused and counted in
+    /// [`HostCounters::rejected_programs`].
     pub fn preload(mut self, program: Arc<Program>) -> Self {
         self.install(program);
         self
@@ -372,14 +380,23 @@ impl HostBackend {
             + self.in_flight as u64 * self.params.per_request_memory_bytes
     }
 
-    fn install(&mut self, program: Arc<Program>) {
+    /// Decodes and installs `program`, returning whether it was taken.
+    /// A program that does not decode is refused and counted; the
+    /// running program, if any, keeps serving.
+    fn install(&mut self, program: Arc<Program>) -> bool {
+        let Ok(code) = Code::decode(&program) else {
+            self.counters.rejected_programs += 1;
+            return false;
+        };
         self.deployed_mem = program
             .lambdas
             .iter()
             .map(ObjectMemory::for_lambda)
             .collect();
+        self.code = Some(Arc::new(code));
         self.last_program = Some(Arc::clone(&program));
         self.program = Some(program);
+        true
     }
 
     /// Fails the runtime: every in-flight and queued request is lost and
@@ -416,6 +433,7 @@ impl HostBackend {
         // The process image is gone; remember what was deployed so a
         // restart can re-provision it.
         self.program = None;
+        self.code = None;
         self.deployed_mem.clear();
         self.restart_epoch += 1;
         // A lease does not survive a crash: the restarted worker must
@@ -658,9 +676,9 @@ impl HostBackend {
             request_id: pending.req_hdr.request_id,
             tenant_id: pending.req_hdr.tenant_id,
         });
-        let program = self.program.as_ref().expect("deployed").clone();
+        let code = Arc::clone(self.code.as_ref().expect("deployed"));
         let exec = Execution::start(
-            Arc::clone(&program),
+            code,
             pending.lambda_idx,
             pending.ctx,
             self.params.lambda_fuel,
@@ -1280,8 +1298,9 @@ impl Component for HostBackend {
                     });
                     return;
                 }
-                self.install(d.program);
-                ctx.emit(|| TraceEvent::ProgramInstall {});
+                if self.install(d.program) {
+                    ctx.emit(|| TraceEvent::ProgramInstall {});
+                }
             }
             Err(other) => panic!("host backend received unknown message {other:?}"),
         }

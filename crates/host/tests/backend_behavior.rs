@@ -464,3 +464,38 @@ fn fragmented_requests_cost_per_packet_kernel_time() {
         "four-fragment {four} vs single {single}"
     );
 }
+
+#[test]
+fn malformed_program_is_refused_and_the_previous_program_keeps_serving() {
+    // Register 40 does not exist (32 per thread); the program skips
+    // validation, as a buggy controller's deploy would.
+    let mut bad = (*web_program(b"bad")).clone();
+    bad.lambdas[0].functions[0]
+        .body
+        .insert(0, lnic_mlambda::ir::Instr::Mov { dst: 1, src: 40 });
+    let bad = Arc::new(bad);
+
+    let (mut sim, backend, sink) = testbed(HostParams::bare_metal(1), web_program(b"v1"));
+    sim.post(
+        backend,
+        SimDuration::ZERO,
+        DeployProgram::unfenced(Arc::clone(&bad)),
+    );
+    sim.post(backend, SimDuration::from_millis(1), request(1, 1));
+    sim.run();
+    let responses = &sim.get::<GwSink>(sink).unwrap().responses;
+    assert_eq!(responses.len(), 1);
+    assert_eq!(&responses[0].1.payload[..], b"v1");
+    let c = sim.get::<HostBackend>(backend).unwrap().counters();
+    assert_eq!(c.rejected_programs, 1);
+    assert_eq!(c.faults, 0);
+
+    // A backend preloaded with only the bad program serves nothing.
+    let (mut sim, backend, sink) = testbed(HostParams::bare_metal(1), bad);
+    sim.post(backend, SimDuration::ZERO, request(1, 1));
+    sim.run();
+    assert!(sim.get::<GwSink>(sink).unwrap().responses.is_empty());
+    let c = sim.get::<HostBackend>(backend).unwrap().counters();
+    assert_eq!(c.rejected_programs, 1);
+    assert_eq!(c.dropped, 1);
+}

@@ -93,7 +93,7 @@ fn eliminate_shadowed_writes(f: &mut Function) -> usize {
             if targets.contains(&later_pc) {
                 break; // another block may read the value
             }
-            if later.reads().contains(&reg) {
+            if later.reads().any(|r| r == reg) {
                 break;
             }
             // Calls/RPCs may read any register (helpers take register

@@ -6,13 +6,20 @@
 //! host models convert into virtual time. Execution is resumable across
 //! [`Instr::NetRpc`] suspension points so the discrete-event simulation
 //! can park an NPU thread while a dependent RPC is in flight.
+//!
+//! A program is decoded once into [`Code`], a flat op stream, much as
+//! λ-NIC compiles lambdas into firmware once and then runs them to
+//! completion on every packet; each [`Execution`] runs over that stream.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::ir::{FuncRef, Instr, Width, RET_REG};
-use crate::program::{Lambda, Program};
+use crate::ir::{
+    AluOp, Cmp, FuncRef, Function, HeaderField, Instr, Reg, Width, NUM_REGISTERS, RET_REG,
+};
+use crate::program::{check_operands, Lambda, Loc, Program, ValidateError};
 
 /// Maximum call depth (NPUs have a tiny fixed call stack).
 pub const MAX_CALL_DEPTH: usize = 16;
@@ -42,8 +49,8 @@ pub struct HeaderValues {
 
 impl HeaderValues {
     /// Reads one field (payload length comes from the request context).
-    fn field(&self, field: crate::ir::HeaderField, payload_len: usize) -> u64 {
-        use crate::ir::HeaderField as F;
+    fn field(&self, field: HeaderField, payload_len: usize) -> u64 {
+        use HeaderField as F;
         match field {
             F::WorkloadId => self.workload_id as u64,
             F::RequestId => self.request_id,
@@ -135,11 +142,11 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    fn for_lambda(lambda: &Lambda) -> Self {
+    fn with_objects(objects: usize) -> Self {
         ExecStats {
-            obj_scalar: vec![0; lambda.objects.len()],
-            obj_bulk_bytes: vec![0; lambda.objects.len()],
-            obj_bulk_ops: vec![0; lambda.objects.len()],
+            obj_scalar: vec![0; objects],
+            obj_bulk_bytes: vec![0; objects],
+            obj_bulk_ops: vec![0; objects],
             ..Default::default()
         }
     }
@@ -200,6 +207,9 @@ pub enum ExecError {
     NotAwaitingResponse,
     /// `run` was called while the lambda *was* awaiting a response.
     AwaitingResponse,
+    /// The program failed to decode (see [`Code::decode`]); only the
+    /// one-shot [`run_to_completion`] reports this.
+    InvalidProgram(ValidateError),
 }
 
 impl std::fmt::Display for ExecError {
@@ -215,16 +225,347 @@ impl std::fmt::Display for ExecError {
             ExecError::CallDepthExceeded => write!(f, "call depth exceeded"),
             ExecError::NotAwaitingResponse => write!(f, "resume without pending rpc"),
             ExecError::AwaitingResponse => write!(f, "run while awaiting rpc response"),
+            ExecError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
 
+/// One decoded instruction. Branch, jump and call targets are absolute
+/// indices into [`Code::ops`]; ALU ops and branches carry their operation
+/// in the opcode, so each instruction costs a single dispatch.
+#[rustfmt::skip]
 #[derive(Clone, Copy, Debug)]
-struct Frame {
-    func: FuncRef,
-    pc: u32,
+enum Op {
+    Const { dst: Reg, value: u64 },
+    Mov { dst: Reg, src: Reg },
+    Add { dst: Reg, a: Reg, b: Reg },
+    Sub { dst: Reg, a: Reg, b: Reg },
+    Mul { dst: Reg, a: Reg, b: Reg },
+    And { dst: Reg, a: Reg, b: Reg },
+    Or { dst: Reg, a: Reg, b: Reg },
+    Xor { dst: Reg, a: Reg, b: Reg },
+    Shl { dst: Reg, a: Reg, b: Reg },
+    Shr { dst: Reg, a: Reg, b: Reg },
+    Div { dst: Reg, a: Reg, b: Reg },
+    Mod { dst: Reg, a: Reg, b: Reg },
+    AddImm { dst: Reg, a: Reg, imm: u64 },
+    SubImm { dst: Reg, a: Reg, imm: u64 },
+    MulImm { dst: Reg, a: Reg, imm: u64 },
+    AndImm { dst: Reg, a: Reg, imm: u64 },
+    OrImm { dst: Reg, a: Reg, imm: u64 },
+    XorImm { dst: Reg, a: Reg, imm: u64 },
+    ShlImm { dst: Reg, a: Reg, imm: u64 },
+    ShrImm { dst: Reg, a: Reg, imm: u64 },
+    DivImm { dst: Reg, a: Reg, imm: u64 },
+    ModImm { dst: Reg, a: Reg, imm: u64 },
+    LoadHdr { dst: Reg, field: HeaderField },
+    LoadMatchData { dst: Reg, idx: u8 },
+    Load { dst: Reg, obj: u16, addr: Reg, width: Width },
+    Store { obj: u16, addr: Reg, src: Reg, width: Width },
+    LoadPayload { dst: Reg, addr: Reg, width: Width },
+    Emit { src: Reg, width: Width },
+    EmitObj { obj: u16, off: Reg, len: Reg },
+    PayloadToObj { obj: u16, src_off: Reg, dst_off: Reg, len: Reg },
+    BranchEq { a: Reg, b: Reg, target: u32 },
+    BranchNe { a: Reg, b: Reg, target: u32 },
+    BranchLt { a: Reg, b: Reg, target: u32 },
+    BranchGe { a: Reg, b: Reg, target: u32 },
+    Jump { target: u32 },
+    Call { target: u32 },
+    Ret,
+    /// `Code::rpcs[rpc]`.
+    NetRpc { rpc: u32 },
+    /// The end of a function body: reached by running past its last
+    /// instruction or by an out-of-range branch target. Returns like
+    /// `Ret` but is not an instruction, so it costs no fuel.
+    End,
+}
+
+const _: () = assert!(std::mem::size_of::<Op>() <= 16);
+const _: () = assert!(NUM_REGISTERS.is_power_of_two());
+
+/// A register index as an array index. Decoding rejects registers
+/// `>= NUM_REGISTERS`, so the mask never changes a decoded index; it
+/// lets the compiler drop the register file's bounds check.
+#[inline(always)]
+fn r(reg: Reg) -> usize {
+    usize::from(reg) & (NUM_REGISTERS - 1)
+}
+
+/// The operands of a decoded [`Instr::NetRpc`], kept out of line so the
+/// common ops stay small.
+#[derive(Clone, Copy, Debug)]
+struct RpcOp {
+    service: u16,
+    req_obj: u16,
+    req_off: Reg,
+    req_len: Reg,
+    resp_obj: u16,
+    resp_off: Reg,
+    resp_cap: Reg,
+    resp_len_dst: Reg,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct LambdaCode {
+    /// Index of the entry function's first op.
+    entry: u32,
+    /// Declared objects (sizes the per-object counters).
+    objects: usize,
+}
+
+/// A [`Program`] decoded once for execution.
+///
+/// Every lambda's functions, then the shared functions, are laid out in
+/// one flat op stream with absolute branch, jump and call targets; each
+/// function body is followed by an end-of-function op. Decoding checks
+/// everything execution relies on to never panic — register indices,
+/// object ids, call targets, entry functions and match-table lambda
+/// references — so a runtime decodes a program once when it is
+/// installed and then starts any number of [`Execution`]s from it.
+///
+/// # Examples
+///
+/// ```
+/// use lnic_mlambda::interp::Code;
+/// use lnic_mlambda::ir::{Function, Instr};
+/// use lnic_mlambda::program::{Lambda, Program, ValidateError, WorkloadId};
+///
+/// let mut p = Program::new();
+/// let bad = Function::new("entry", vec![Instr::Const { dst: 40, value: 0 }, Instr::Ret]);
+/// p.add_lambda(Lambda::new("bad", WorkloadId(1), bad), vec![]);
+/// assert!(matches!(Code::decode(&p), Err(ValidateError::BadRegister { reg: 40, .. })));
+/// ```
+#[derive(Debug)]
+pub struct Code {
+    ops: Vec<Op>,
+    rpcs: Vec<RpcOp>,
+    lambdas: Vec<LambdaCode>,
+}
+
+/// Where a function being decoded lives.
+struct Scope<'a> {
+    lambda: usize,
+    function: usize,
+    /// Op index of each local function; `None` for shared functions,
+    /// which may not call lambda-local code.
+    locals: Option<&'a [u32]>,
+    shared: &'a [u32],
+    /// Declared objects; `None` for shared functions, whose object ids
+    /// are checked against every calling lambda instead.
+    objects: Option<usize>,
+}
+
+impl Code {
+    /// Decodes `program`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ValidateError`] that would make execution
+    /// unsafe: a register `>= NUM_REGISTERS`, an undeclared object
+    /// (also through a shared function), a call to a missing function
+    /// or from a shared function into lambda-local code, a lambda
+    /// without an entry function, or a match entry naming a missing
+    /// lambda. Unlike [`Program::validate`] it accepts out-of-range
+    /// branch targets and missing terminators: both end the function.
+    pub fn decode(program: &Program) -> Result<Code, ValidateError> {
+        program.check_lambda_refs()?;
+        program.check_shared_objects()?;
+        let mut next = 0u32;
+        let mut place = |f: &Function| {
+            let start = next;
+            next += f.body.len() as u32 + 1;
+            start
+        };
+        let local_starts: Vec<Vec<u32>> = program
+            .lambdas
+            .iter()
+            .map(|l| l.functions.iter().map(&mut place).collect())
+            .collect();
+        let shared_starts: Vec<u32> = program.shared.iter().map(&mut place).collect();
+        let mut code = Code {
+            ops: Vec::with_capacity(next as usize),
+            rpcs: Vec::new(),
+            lambdas: Vec::with_capacity(program.lambdas.len()),
+        };
+        for (li, (lambda, locals)) in program.lambdas.iter().zip(&local_starts).enumerate() {
+            let entry = *locals.first().ok_or(ValidateError::BadFunctionRef {
+                loc: Loc {
+                    lambda: li,
+                    function: 0,
+                    pc: 0,
+                },
+            })?;
+            code.lambdas.push(LambdaCode {
+                entry,
+                objects: lambda.objects.len(),
+            });
+            for (fi, function) in lambda.functions.iter().enumerate() {
+                let scope = Scope {
+                    lambda: li,
+                    function: fi,
+                    locals: Some(locals),
+                    shared: &shared_starts,
+                    objects: Some(lambda.objects.len()),
+                };
+                code.push_function(function, &scope)?;
+            }
+        }
+        for (si, function) in program.shared.iter().enumerate() {
+            let scope = Scope {
+                lambda: usize::MAX,
+                function: si,
+                locals: None,
+                shared: &shared_starts,
+                objects: None,
+            };
+            code.push_function(function, &scope)?;
+        }
+        Ok(code)
+    }
+
+    fn push_function(
+        &mut self,
+        function: &Function,
+        scope: &Scope<'_>,
+    ) -> Result<(), ValidateError> {
+        let base = self.ops.len() as u32;
+        let len = function.body.len() as u32;
+        // Out-of-range targets land on the function's `End`.
+        let at = |target: u32| base + target.min(len);
+        for (pc, instr) in function.body.iter().enumerate() {
+            let loc = Loc {
+                lambda: scope.lambda,
+                function: scope.function,
+                pc,
+            };
+            check_operands(instr, loc, scope.objects)?;
+            let op = match *instr {
+                Instr::Const { dst, value } => Op::Const { dst, value },
+                Instr::Mov { dst, src } => Op::Mov { dst, src },
+                Instr::Alu { op, dst, a, b } => match op {
+                    AluOp::Add => Op::Add { dst, a, b },
+                    AluOp::Sub => Op::Sub { dst, a, b },
+                    AluOp::Mul => Op::Mul { dst, a, b },
+                    AluOp::And => Op::And { dst, a, b },
+                    AluOp::Or => Op::Or { dst, a, b },
+                    AluOp::Xor => Op::Xor { dst, a, b },
+                    AluOp::Shl => Op::Shl { dst, a, b },
+                    AluOp::Shr => Op::Shr { dst, a, b },
+                    AluOp::Div => Op::Div { dst, a, b },
+                    AluOp::Mod => Op::Mod { dst, a, b },
+                },
+                Instr::AluImm { op, dst, a, imm } => match op {
+                    AluOp::Add => Op::AddImm { dst, a, imm },
+                    AluOp::Sub => Op::SubImm { dst, a, imm },
+                    AluOp::Mul => Op::MulImm { dst, a, imm },
+                    AluOp::And => Op::AndImm { dst, a, imm },
+                    AluOp::Or => Op::OrImm { dst, a, imm },
+                    AluOp::Xor => Op::XorImm { dst, a, imm },
+                    AluOp::Shl => Op::ShlImm { dst, a, imm },
+                    AluOp::Shr => Op::ShrImm { dst, a, imm },
+                    AluOp::Div => Op::DivImm { dst, a, imm },
+                    AluOp::Mod => Op::ModImm { dst, a, imm },
+                },
+                Instr::LoadHdr { dst, field } => Op::LoadHdr { dst, field },
+                Instr::LoadMatchData { dst, idx } => Op::LoadMatchData { dst, idx },
+                Instr::Load {
+                    dst,
+                    obj,
+                    addr,
+                    width,
+                } => Op::Load {
+                    dst,
+                    obj: obj.0,
+                    addr,
+                    width,
+                },
+                Instr::Store {
+                    obj,
+                    addr,
+                    src,
+                    width,
+                } => Op::Store {
+                    obj: obj.0,
+                    addr,
+                    src,
+                    width,
+                },
+                Instr::LoadPayload { dst, addr, width } => Op::LoadPayload { dst, addr, width },
+                Instr::Emit { src, width } => Op::Emit { src, width },
+                Instr::EmitObj { obj, off, len } => Op::EmitObj {
+                    obj: obj.0,
+                    off,
+                    len,
+                },
+                Instr::PayloadToObj {
+                    obj,
+                    src_off,
+                    dst_off,
+                    len,
+                } => Op::PayloadToObj {
+                    obj: obj.0,
+                    src_off,
+                    dst_off,
+                    len,
+                },
+                Instr::Branch { cmp, a, b, target } => {
+                    let target = at(target);
+                    match cmp {
+                        Cmp::Eq => Op::BranchEq { a, b, target },
+                        Cmp::Ne => Op::BranchNe { a, b, target },
+                        Cmp::Lt => Op::BranchLt { a, b, target },
+                        Cmp::Ge => Op::BranchGe { a, b, target },
+                    }
+                }
+                Instr::Jump { target } => Op::Jump { target: at(target) },
+                Instr::Call { func } => {
+                    let target = match (func, scope.locals) {
+                        (FuncRef::Local(_), None) => {
+                            return Err(ValidateError::SharedFunctionCallsLocal {
+                                shared: scope.function as u16,
+                            })
+                        }
+                        (FuncRef::Local(i), Some(locals)) => locals.get(usize::from(i)),
+                        (FuncRef::Shared(i), _) => scope.shared.get(usize::from(i)),
+                    };
+                    Op::Call {
+                        target: *target.ok_or(ValidateError::BadFunctionRef { loc })?,
+                    }
+                }
+                Instr::Ret => Op::Ret,
+                Instr::NetRpc {
+                    service,
+                    req_obj,
+                    req_off,
+                    req_len,
+                    resp_obj,
+                    resp_off,
+                    resp_cap,
+                    resp_len_dst,
+                } => {
+                    self.rpcs.push(RpcOp {
+                        service,
+                        req_obj: req_obj.0,
+                        req_off,
+                        req_len,
+                        resp_obj: resp_obj.0,
+                        resp_off,
+                        resp_cap,
+                        resp_len_dst,
+                    });
+                    Op::NetRpc {
+                        rpc: self.rpcs.len() as u32 - 1,
+                    }
+                }
+            };
+            self.ops.push(op);
+        }
+        self.ops.push(Op::End);
+        Ok(())
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -240,7 +581,7 @@ struct PendingNet {
 /// # Examples
 ///
 /// ```
-/// use lnic_mlambda::interp::{Execution, ObjectMemory, RequestCtx, StepOutcome};
+/// use lnic_mlambda::interp::{Code, Execution, ObjectMemory, RequestCtx, StepOutcome};
 /// use lnic_mlambda::ir::{Function, Instr};
 /// use lnic_mlambda::program::{Lambda, Program, WorkloadId};
 ///
@@ -256,8 +597,8 @@ struct PendingNet {
 /// let mut p = Program::new();
 /// let idx = p.add_lambda(Lambda::new("one", WorkloadId(1), entry), vec![]);
 /// let mut mem = ObjectMemory::for_lambda(&p.lambdas[idx]);
-/// let p = std::sync::Arc::new(p);
-/// let mut exec = Execution::start(std::sync::Arc::clone(&p), idx, RequestCtx::default(), 1_000);
+/// let code = std::sync::Arc::new(Code::decode(&p).expect("decodes"));
+/// let mut exec = Execution::start(code, idx, RequestCtx::default(), 1_000);
 /// match exec.run(&mut mem).expect("executes") {
 ///     StepOutcome::Done(done) => assert_eq!(&done.response[..], &[0xAB]),
 ///     other => panic!("unexpected {other:?}"),
@@ -265,12 +606,14 @@ struct PendingNet {
 /// ```
 #[derive(Debug)]
 pub struct Execution {
-    program: Arc<Program>,
-    lambda_idx: usize,
+    code: Arc<Code>,
     ctx: RequestCtx,
-    regs: [u64; crate::ir::NUM_REGISTERS],
-    frames: Vec<Frame>,
-    emitted: BytesMut,
+    regs: [u64; NUM_REGISTERS],
+    /// Index of the next op.
+    pc: u32,
+    /// Return indices of the suspended callers, innermost last.
+    frames: Vec<u32>,
+    emitted: Vec<u8>,
     stats: ExecStats,
     fuel: u64,
     pending: Option<PendingNet>,
@@ -278,26 +621,22 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Begins executing `program.lambdas[lambda_idx]` over `ctx` with an
-    /// instruction budget of `fuel`.
+    /// Begins executing lambda `lambda_idx` of the decoded program over
+    /// `ctx` with an instruction budget of `fuel`.
     ///
     /// # Panics
     ///
     /// Panics if `lambda_idx` is out of range.
-    pub fn start(program: Arc<Program>, lambda_idx: usize, ctx: RequestCtx, fuel: u64) -> Self {
-        let lambda = &program.lambdas[lambda_idx];
-        let stats = ExecStats::for_lambda(lambda);
+    pub fn start(code: Arc<Code>, lambda_idx: usize, ctx: RequestCtx, fuel: u64) -> Self {
+        let lambda = code.lambdas[lambda_idx];
         Execution {
-            program,
-            lambda_idx,
+            pc: lambda.entry,
+            stats: ExecStats::with_objects(lambda.objects),
+            code,
             ctx,
-            regs: [0; crate::ir::NUM_REGISTERS],
-            frames: vec![Frame {
-                func: FuncRef::Local(0),
-                pc: 0,
-            }],
-            emitted: BytesMut::new(),
-            stats,
+            regs: [0; NUM_REGISTERS],
+            frames: Vec::new(),
+            emitted: Vec::new(),
             fuel,
             pending: None,
             finished: false,
@@ -337,7 +676,7 @@ impl Execution {
             pending.resp_off,
             &response[..n as usize],
         )?;
-        self.regs[pending.resp_len_dst as usize] = n;
+        self.regs[r(pending.resp_len_dst)] = n;
         self.step_loop(mem)
     }
 
@@ -351,195 +690,187 @@ impl Execution {
         &self.stats
     }
 
+    /// The interpreter loop. The pc, the register file and the fuel live
+    /// in locals and are written back once, when the loop stops;
+    /// `stats.instrs` grows by the fuel the stretch consumed.
     fn step_loop(&mut self, mem: &mut ObjectMemory) -> Result<StepOutcome, ExecError> {
         debug_assert!(!self.finished, "execution already finished");
-        let program = Arc::clone(&self.program);
-        loop {
-            let frame = *self.frames.last().expect("at least the entry frame");
-            let body: &[Instr] = match frame.func {
-                FuncRef::Local(i) => &program.lambdas[self.lambda_idx].functions[i as usize].body,
-                FuncRef::Shared(i) => &program.shared[i as usize].body,
+        let code = Arc::clone(&self.code);
+        let ops = &code.ops[..];
+        let mut pc = self.pc as usize;
+        let mut regs = self.regs;
+        let mut fuel = self.fuel;
+        let request = self.ctx.payload.clone();
+        let payload: &[u8] = &request;
+        // Stops on a fault raised by the op just fetched, leaving the pc
+        // on that op.
+        macro_rules! fault {
+            ($err:expr) => {{
+                pc -= 1;
+                break Err($err);
+            }};
+        }
+        macro_rules! check {
+            ($result:expr) => {
+                match $result {
+                    Ok(v) => v,
+                    Err(e) => fault!(e),
+                }
             };
-            if frame.pc as usize >= body.len() {
-                // Falling off the end is prevented by validation
-                // (MissingTerminator), but degrade gracefully.
-                if let Some(done) = self.pop_frame() {
-                    return Ok(StepOutcome::Done(done));
+        }
+        let stop: Result<Option<(u16, Bytes)>, ExecError> = loop {
+            let op = ops[pc];
+            if !matches!(op, Op::End) {
+                if fuel == 0 {
+                    break Err(ExecError::FuelExhausted);
                 }
-                continue;
+                fuel -= 1;
             }
-            let instr = &body[frame.pc as usize];
-            if self.fuel == 0 {
-                return Err(ExecError::FuelExhausted);
-            }
-            self.fuel -= 1;
-            self.stats.instrs += 1;
-
-            let mut next_pc = frame.pc + 1;
-            match *instr {
-                Instr::Const { dst, value } => self.regs[dst as usize] = value,
-                Instr::Mov { dst, src } => self.regs[dst as usize] = self.regs[src as usize],
-                Instr::Alu { op, dst, a, b } => {
-                    self.regs[dst as usize] =
-                        op.apply(self.regs[a as usize], self.regs[b as usize]);
+            pc += 1;
+            match op {
+                Op::Const { dst, value } => regs[r(dst)] = value,
+                Op::Mov { dst, src } => regs[r(dst)] = regs[r(src)],
+                Op::Add { dst, a, b } => regs[r(dst)] = AluOp::Add.apply(regs[r(a)], regs[r(b)]),
+                Op::Sub { dst, a, b } => regs[r(dst)] = AluOp::Sub.apply(regs[r(a)], regs[r(b)]),
+                Op::Mul { dst, a, b } => regs[r(dst)] = AluOp::Mul.apply(regs[r(a)], regs[r(b)]),
+                Op::And { dst, a, b } => regs[r(dst)] = AluOp::And.apply(regs[r(a)], regs[r(b)]),
+                Op::Or { dst, a, b } => regs[r(dst)] = AluOp::Or.apply(regs[r(a)], regs[r(b)]),
+                Op::Xor { dst, a, b } => regs[r(dst)] = AluOp::Xor.apply(regs[r(a)], regs[r(b)]),
+                Op::Shl { dst, a, b } => regs[r(dst)] = AluOp::Shl.apply(regs[r(a)], regs[r(b)]),
+                Op::Shr { dst, a, b } => regs[r(dst)] = AluOp::Shr.apply(regs[r(a)], regs[r(b)]),
+                Op::Div { dst, a, b } => regs[r(dst)] = AluOp::Div.apply(regs[r(a)], regs[r(b)]),
+                Op::Mod { dst, a, b } => regs[r(dst)] = AluOp::Mod.apply(regs[r(a)], regs[r(b)]),
+                Op::AddImm { dst, a, imm } => regs[r(dst)] = AluOp::Add.apply(regs[r(a)], imm),
+                Op::SubImm { dst, a, imm } => regs[r(dst)] = AluOp::Sub.apply(regs[r(a)], imm),
+                Op::MulImm { dst, a, imm } => regs[r(dst)] = AluOp::Mul.apply(regs[r(a)], imm),
+                Op::AndImm { dst, a, imm } => regs[r(dst)] = AluOp::And.apply(regs[r(a)], imm),
+                Op::OrImm { dst, a, imm } => regs[r(dst)] = AluOp::Or.apply(regs[r(a)], imm),
+                Op::XorImm { dst, a, imm } => regs[r(dst)] = AluOp::Xor.apply(regs[r(a)], imm),
+                Op::ShlImm { dst, a, imm } => regs[r(dst)] = AluOp::Shl.apply(regs[r(a)], imm),
+                Op::ShrImm { dst, a, imm } => regs[r(dst)] = AluOp::Shr.apply(regs[r(a)], imm),
+                Op::DivImm { dst, a, imm } => regs[r(dst)] = AluOp::Div.apply(regs[r(a)], imm),
+                Op::ModImm { dst, a, imm } => regs[r(dst)] = AluOp::Mod.apply(regs[r(a)], imm),
+                Op::LoadHdr { dst, field } => {
+                    regs[r(dst)] = self.ctx.headers.field(field, payload.len());
                 }
-                Instr::AluImm { op, dst, a, imm } => {
-                    self.regs[dst as usize] = op.apply(self.regs[a as usize], imm);
+                Op::LoadMatchData { dst, idx } => {
+                    regs[r(dst)] = self.ctx.match_data.get(idx as usize).copied().unwrap_or(0);
                 }
-                Instr::LoadHdr { dst, field } => {
-                    self.regs[dst as usize] = self.ctx.headers.field(field, self.ctx.payload.len());
-                }
-                Instr::LoadMatchData { dst, idx } => {
-                    self.regs[dst as usize] =
-                        self.ctx.match_data.get(idx as usize).copied().unwrap_or(0);
-                }
-                Instr::Load {
+                Op::Load {
                     dst,
                     obj,
                     addr,
                     width,
-                } => {
-                    let off = self.regs[addr as usize];
-                    let v = self.read_obj_scalar(mem, obj.0, off, width)?;
-                    self.regs[dst as usize] = v;
-                }
-                Instr::Store {
+                } => regs[r(dst)] = check!(self.read_obj_scalar(mem, obj, regs[r(addr)], width)),
+                Op::Store {
                     obj,
                     addr,
                     src,
                     width,
-                } => {
-                    let off = self.regs[addr as usize];
-                    let v = self.regs[src as usize];
-                    self.write_obj_scalar(mem, obj.0, off, v, width)?;
+                } => check!(self.write_obj_scalar(mem, obj, regs[r(addr)], regs[r(src)], width)),
+                Op::LoadPayload { dst, addr, width } => {
+                    regs[r(dst)] = check!(read_payload_scalar(payload, regs[r(addr)], width));
+                    self.stats.payload_scalar += 1;
                 }
-                Instr::LoadPayload { dst, addr, width } => {
-                    let off = self.regs[addr as usize];
-                    let v = self.read_payload_scalar(off, width)?;
-                    self.regs[dst as usize] = v;
-                }
-                Instr::Emit { src, width } => {
-                    let v = self.regs[src as usize];
-                    let bytes = v.to_be_bytes();
-                    self.emitted.extend_from_slice(&bytes[8 - width.bytes()..]);
+                Op::Emit { src, width } => {
+                    be_append(&mut self.emitted, regs[r(src)], width);
                     self.stats.emitted_bytes += width.bytes() as u64;
                 }
-                Instr::EmitObj { obj, off, len } => {
-                    let off = self.regs[off as usize];
-                    let len = self.regs[len as usize];
-                    self.check_obj_range(mem, obj.0, off, len)?;
-                    let data = &mem.object(obj.0 as usize)[off as usize..(off + len) as usize];
-                    self.emitted.extend_from_slice(data);
-                    self.stats.obj_bulk_bytes[obj.0 as usize] += len;
-                    self.stats.obj_bulk_ops[obj.0 as usize] += 1;
+                Op::EmitObj { obj, off, len } => {
+                    let (off, len) = (regs[r(off)], regs[r(len)]);
+                    let data = mem.object(obj as usize);
+                    let range = check!(obj_range(data.len(), obj, off, len));
+                    self.emitted.extend_from_slice(&data[range]);
+                    self.stats.obj_bulk_bytes[obj as usize] += len;
+                    self.stats.obj_bulk_ops[obj as usize] += 1;
                     self.stats.emitted_bytes += len;
                 }
-                Instr::PayloadToObj {
+                Op::PayloadToObj {
                     obj,
                     src_off,
                     dst_off,
                     len,
                 } => {
-                    let src = self.regs[src_off as usize];
-                    let dst = self.regs[dst_off as usize];
-                    let len = self.regs[len as usize];
+                    let (src, dst, len) = (regs[r(src_off)], regs[r(dst_off)], regs[r(len)]);
                     if src
                         .checked_add(len)
                         .map(|e| e as usize > self.ctx.payload.len())
                         != Some(false)
                     {
-                        return Err(ExecError::PayloadOutOfBounds { offset: src, len });
+                        fault!(ExecError::PayloadOutOfBounds { offset: src, len });
                     }
                     let data = self.ctx.payload.slice(src as usize..(src + len) as usize);
-                    self.write_obj_bulk(mem, obj.0, dst, &data)?;
+                    check!(self.write_obj_bulk(mem, obj, dst, &data));
                     self.stats.payload_bulk_bytes += len;
                 }
-                Instr::Branch { cmp, a, b, target } => {
-                    if cmp.test(self.regs[a as usize], self.regs[b as usize]) {
-                        next_pc = target;
+                Op::BranchEq { a, b, target } => {
+                    if Cmp::Eq.test(regs[r(a)], regs[r(b)]) {
+                        pc = target as usize;
                     }
                 }
-                Instr::Jump { target } => next_pc = target,
-                Instr::Call { func } => {
-                    if self.frames.len() >= MAX_CALL_DEPTH {
-                        return Err(ExecError::CallDepthExceeded);
+                Op::BranchNe { a, b, target } => {
+                    if Cmp::Ne.test(regs[r(a)], regs[r(b)]) {
+                        pc = target as usize;
                     }
-                    self.frames.last_mut().expect("frame").pc = next_pc;
-                    self.frames.push(Frame { func, pc: 0 });
-                    self.stats.max_call_depth = self.stats.max_call_depth.max(self.frames.len());
-                    continue;
                 }
-                Instr::Ret => {
-                    if let Some(done) = self.pop_frame() {
-                        return Ok(StepOutcome::Done(done));
+                Op::BranchLt { a, b, target } => {
+                    if Cmp::Lt.test(regs[r(a)], regs[r(b)]) {
+                        pc = target as usize;
                     }
-                    continue;
                 }
-                Instr::NetRpc {
-                    service,
-                    req_obj,
-                    req_off,
-                    req_len,
-                    resp_obj,
-                    resp_off,
-                    resp_cap,
-                    resp_len_dst,
-                } => {
-                    let off = self.regs[req_off as usize];
-                    let len = self.regs[req_len as usize];
-                    self.check_obj_range(mem, req_obj.0, off, len)?;
-                    let payload = Bytes::copy_from_slice(
-                        &mem.object(req_obj.0 as usize)[off as usize..(off + len) as usize],
-                    );
-                    self.stats.obj_bulk_bytes[req_obj.0 as usize] += len;
-                    self.stats.obj_bulk_ops[req_obj.0 as usize] += 1;
+                Op::BranchGe { a, b, target } => {
+                    if Cmp::Ge.test(regs[r(a)], regs[r(b)]) {
+                        pc = target as usize;
+                    }
+                }
+                Op::Jump { target } => pc = target as usize,
+                Op::Call { target } => {
+                    // The running function is not in `frames`.
+                    if self.frames.len() + 1 >= MAX_CALL_DEPTH {
+                        fault!(ExecError::CallDepthExceeded);
+                    }
+                    self.frames.push(pc as u32);
+                    pc = target as usize;
+                    let depth = self.frames.len() + 1;
+                    self.stats.max_call_depth = self.stats.max_call_depth.max(depth);
+                }
+                Op::Ret | Op::End => match self.frames.pop() {
+                    Some(ret) => pc = ret as usize,
+                    None => break Ok(None),
+                },
+                Op::NetRpc { rpc } => {
+                    let rpc = code.rpcs[rpc as usize];
+                    let (off, len) = (regs[r(rpc.req_off)], regs[r(rpc.req_len)]);
+                    let data = mem.object(rpc.req_obj as usize);
+                    let range = check!(obj_range(data.len(), rpc.req_obj, off, len));
+                    let payload = Bytes::copy_from_slice(&data[range]);
+                    self.stats.obj_bulk_bytes[rpc.req_obj as usize] += len;
+                    self.stats.obj_bulk_ops[rpc.req_obj as usize] += 1;
                     self.stats.net_rpcs += 1;
                     self.pending = Some(PendingNet {
-                        resp_obj: resp_obj.0,
-                        resp_off: self.regs[resp_off as usize],
-                        resp_cap: self.regs[resp_cap as usize],
-                        resp_len_dst,
+                        resp_obj: rpc.resp_obj,
+                        resp_off: regs[r(rpc.resp_off)],
+                        resp_cap: regs[r(rpc.resp_cap)],
+                        resp_len_dst: rpc.resp_len_dst,
                     });
-                    self.frames.last_mut().expect("frame").pc = next_pc;
-                    return Ok(StepOutcome::NetCall { service, payload });
+                    break Ok(Some((rpc.service, payload)));
                 }
             }
-            self.frames.last_mut().expect("frame").pc = next_pc;
-        }
-    }
-
-    /// Pops the current frame. Returns `Some(completion)` when the entry
-    /// frame returned (execution finished); `None` when a callee returned
-    /// into its caller (whose pc was advanced at call time).
-    fn pop_frame(&mut self) -> Option<Completion> {
-        self.frames.pop();
-        if self.frames.is_empty() {
-            self.finished = true;
-            Some(Completion {
-                return_code: self.regs[RET_REG as usize],
-                response: std::mem::take(&mut self.emitted).freeze(),
-                stats: self.stats.clone(),
-            })
-        } else {
-            None
-        }
-    }
-
-    fn check_obj_range(
-        &self,
-        mem: &ObjectMemory,
-        obj: u16,
-        off: u64,
-        len: u64,
-    ) -> Result<(), ExecError> {
-        let size = mem.object(obj as usize).len() as u64;
-        match off.checked_add(len) {
-            Some(end) if end <= size => Ok(()),
-            _ => Err(ExecError::ObjOutOfBounds {
-                obj,
-                offset: off,
-                len,
-            }),
+        };
+        self.pc = pc as u32;
+        self.regs = regs;
+        self.stats.instrs += self.fuel - fuel;
+        self.fuel = fuel;
+        match stop? {
+            None => {
+                self.finished = true;
+                Ok(StepOutcome::Done(Completion {
+                    return_code: regs[r(RET_REG)],
+                    response: Bytes::from(std::mem::take(&mut self.emitted)),
+                    stats: self.stats.clone(),
+                }))
+            }
+            Some((service, payload)) => Ok(StepOutcome::NetCall { service, payload }),
         }
     }
 
@@ -550,10 +881,10 @@ impl Execution {
         off: u64,
         width: Width,
     ) -> Result<u64, ExecError> {
-        self.check_obj_range(mem, obj, off, width.bytes() as u64)?;
+        let data = mem.object(obj as usize);
+        let range = obj_range(data.len(), obj, off, width.bytes() as u64)?;
         self.stats.obj_scalar[obj as usize] += 1;
-        let data = &mem.object(obj as usize)[off as usize..off as usize + width.bytes()];
-        Ok(be_read(data))
+        Ok(be_read(&data[range], width))
     }
 
     fn write_obj_scalar(
@@ -564,11 +895,10 @@ impl Execution {
         value: u64,
         width: Width,
     ) -> Result<(), ExecError> {
-        self.check_obj_range(mem, obj, off, width.bytes() as u64)?;
+        let data = mem.object_mut(obj as usize);
+        let range = obj_range(data.len(), obj, off, width.bytes() as u64)?;
         self.stats.obj_scalar[obj as usize] += 1;
-        let bytes = value.to_be_bytes();
-        mem.object_mut(obj as usize)[off as usize..off as usize + width.bytes()]
-            .copy_from_slice(&bytes[8 - width.bytes()..]);
+        be_write(&mut data[range], value, width);
         Ok(())
     }
 
@@ -579,41 +909,95 @@ impl Execution {
         off: u64,
         data: &[u8],
     ) -> Result<(), ExecError> {
-        self.check_obj_range(mem, obj, off, data.len() as u64)?;
+        let object = mem.object_mut(obj as usize);
+        let range = obj_range(object.len(), obj, off, data.len() as u64)?;
         self.stats.obj_bulk_bytes[obj as usize] += data.len() as u64;
         self.stats.obj_bulk_ops[obj as usize] += 1;
-        mem.object_mut(obj as usize)[off as usize..off as usize + data.len()].copy_from_slice(data);
+        object[range].copy_from_slice(data);
         Ok(())
-    }
-
-    fn read_payload_scalar(&mut self, off: u64, width: Width) -> Result<u64, ExecError> {
-        let end = off
-            .checked_add(width.bytes() as u64)
-            .filter(|&e| e as usize <= self.ctx.payload.len())
-            .ok_or(ExecError::PayloadOutOfBounds {
-                offset: off,
-                len: width.bytes() as u64,
-            })?;
-        let _ = end;
-        self.stats.payload_scalar += 1;
-        let data = &self.ctx.payload[off as usize..off as usize + width.bytes()];
-        Ok(be_read(data))
     }
 }
 
-fn be_read(data: &[u8]) -> u64 {
-    let mut v = 0u64;
-    for &b in data {
-        v = (v << 8) | b as u64;
+/// `off..off + len` when it lies within object `obj` of `size` bytes.
+fn obj_range(size: usize, obj: u16, off: u64, len: u64) -> Result<Range<usize>, ExecError> {
+    match off.checked_add(len) {
+        Some(end) if end <= size as u64 => Ok(off as usize..end as usize),
+        _ => Err(ExecError::ObjOutOfBounds {
+            obj,
+            offset: off,
+            len,
+        }),
     }
-    v
+}
+
+/// Reads a `width`-byte big-endian scalar of the request payload.
+fn read_payload_scalar(payload: &[u8], off: u64, width: Width) -> Result<u64, ExecError> {
+    let len = width.bytes() as u64;
+    match off.checked_add(len) {
+        Some(end) if end <= payload.len() as u64 => Ok(be_read(&payload[off as usize..], width)),
+        _ => Err(ExecError::PayloadOutOfBounds { offset: off, len }),
+    }
+}
+
+/// Evaluates `$body` with `$n` bound to `$width`'s byte count as a
+/// constant, so scalar accesses compile to fixed-size copies instead of
+/// `memcpy` calls.
+macro_rules! by_width {
+    ($width:expr, $n:ident => $body:expr) => {
+        match $width {
+            Width::B1 => {
+                const $n: usize = 1;
+                $body
+            }
+            Width::B2 => {
+                const $n: usize = 2;
+                $body
+            }
+            Width::B4 => {
+                const $n: usize = 4;
+                $body
+            }
+            Width::B8 => {
+                const $n: usize = 8;
+                $body
+            }
+        }
+    };
+}
+
+/// Reads `width` big-endian bytes from the front of `data`.
+#[inline(always)]
+fn be_read(data: &[u8], width: Width) -> u64 {
+    by_width!(width, N => {
+        let mut padded = [0u8; 8];
+        padded[8 - N..].copy_from_slice(&data[..N]);
+        u64::from_be_bytes(padded)
+    })
+}
+
+/// Writes the low `width` bytes of `value`, big-endian, to the front of
+/// `data`.
+#[inline(always)]
+fn be_write(data: &mut [u8], value: u64, width: Width) {
+    by_width!(width, N => data[..N].copy_from_slice(&value.to_be_bytes()[8 - N..]))
+}
+
+/// Appends the low `width` bytes of `value`, big-endian, to `out`.
+#[inline(always)]
+fn be_append(out: &mut Vec<u8>, value: u64, width: Width) {
+    by_width!(width, N => out.extend_from_slice(&value.to_be_bytes()[8 - N..]))
 }
 
 /// Runs a lambda to completion, answering network RPCs with `serve`.
 ///
+/// This is the one-shot path: it decodes `program` on every call. A
+/// runtime serving many requests decodes once with [`Code::decode`] and
+/// drives [`Execution`]s itself, as the NIC and host backends do.
+///
 /// # Errors
 ///
-/// Propagates any [`ExecError`] from the execution.
+/// Returns [`ExecError::InvalidProgram`] when `program` does not decode,
+/// and propagates any [`ExecError`] from the execution.
 pub fn run_to_completion(
     program: &Arc<Program>,
     lambda_idx: usize,
@@ -622,7 +1006,8 @@ pub fn run_to_completion(
     fuel: u64,
     mut serve: impl FnMut(u16, Bytes) -> Bytes,
 ) -> Result<Completion, ExecError> {
-    let mut exec = Execution::start(Arc::clone(program), lambda_idx, ctx, fuel);
+    let code = Code::decode(program).map_err(ExecError::InvalidProgram)?;
+    let mut exec = Execution::start(Arc::new(code), lambda_idx, ctx, fuel);
     let mut outcome = exec.run(mem)?;
     loop {
         match outcome {
@@ -638,7 +1023,7 @@ pub fn run_to_completion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{AluOp, Cmp, Function, HeaderField, ObjId, Width};
+    use crate::ir::ObjId;
     use crate::program::{Lambda, MemObject, Program, WorkloadId};
 
     fn one_lambda(entry: Function, objects: Vec<MemObject>) -> Arc<Program> {
@@ -663,6 +1048,18 @@ mod tests {
         let mut mem = ObjectMemory::for_lambda(&p.lambdas[0]);
         run_to_completion(p, 0, ctx, &mut mem, 100_000, |_, _| Bytes::new())
             .expect("runs to completion")
+    }
+
+    fn start(p: &Arc<Program>, idx: usize, ctx: RequestCtx, fuel: u64) -> Execution {
+        let code = Code::decode(p).expect("test programs decode");
+        Execution::start(Arc::new(code), idx, ctx, fuel)
+    }
+
+    /// A one-lambda program, left unvalidated.
+    fn single(entry: Function) -> Program {
+        let mut p = Program::new();
+        p.add_lambda(Lambda::new("t", WorkloadId(1), entry), vec![]);
+        p
     }
 
     #[test]
@@ -957,7 +1354,7 @@ mod tests {
             vec![MemObject::with_data("buf", b"get into the buffer".to_vec())],
         );
         let mut mem = ObjectMemory::for_lambda(&p.lambdas[0]);
-        let mut exec = Execution::start(Arc::clone(&p), 0, RequestCtx::default(), 1_000);
+        let mut exec = start(&p, 0, RequestCtx::default(), 1_000);
         match exec.run(&mut mem).unwrap() {
             StepOutcome::NetCall { service, payload } => {
                 assert_eq!(service, 9);
@@ -1135,10 +1532,311 @@ mod tests {
             vec![],
         );
         let mut mem = ObjectMemory::for_lambda(&p.lambdas[0]);
-        let mut exec = Execution::start(Arc::clone(&p), 0, RequestCtx::default(), 10);
+        let mut exec = start(&p, 0, RequestCtx::default(), 10);
         assert_eq!(
             exec.resume(&mut mem, b"x"),
             Err(ExecError::NotAwaitingResponse)
         );
+    }
+
+    /// A `NetRpc` issued inside a callee suspends the whole call stack;
+    /// the response resumes the callee right after the RPC and its `Ret`
+    /// returns through the caller.
+    #[test]
+    fn net_rpc_in_callee_resumes_and_returns_through_caller() {
+        let mut l = Lambda::new(
+            "rpc_in_callee",
+            WorkloadId(1),
+            Function::new(
+                "entry",
+                vec![
+                    Instr::Const { dst: 6, value: 0 },
+                    Instr::Call {
+                        func: FuncRef::Local(1),
+                    },
+                    Instr::Emit {
+                        src: 6,
+                        width: Width::B1,
+                    },
+                    Instr::Const { dst: 0, value: 0 },
+                    Instr::Ret,
+                ],
+            ),
+        );
+        l.add_function(Function::new(
+            "fetch",
+            vec![
+                Instr::Const { dst: 1, value: 0 },
+                Instr::Const { dst: 2, value: 3 },
+                Instr::Const { dst: 3, value: 8 },
+                Instr::Const { dst: 4, value: 8 },
+                Instr::NetRpc {
+                    service: 7,
+                    req_obj: ObjId(0),
+                    req_off: 1,
+                    req_len: 2,
+                    resp_obj: ObjId(0),
+                    resp_off: 3,
+                    resp_cap: 4,
+                    resp_len_dst: 5,
+                },
+                Instr::EmitObj {
+                    obj: ObjId(0),
+                    off: 3,
+                    len: 5,
+                },
+                Instr::Const {
+                    dst: 6,
+                    value: 0x99,
+                },
+                Instr::Ret,
+            ],
+        ));
+        l.add_object(MemObject::with_data("buf", b"get into the buffer".to_vec()));
+        let p = Arc::new(p_with(l));
+        let mut mem = ObjectMemory::for_lambda(&p.lambdas[0]);
+        let mut exec = start(&p, 0, RequestCtx::default(), 1_000);
+        match exec.run(&mut mem).unwrap() {
+            StepOutcome::NetCall { service, payload } => {
+                assert_eq!(service, 7);
+                assert_eq!(&payload[..], b"get");
+            }
+            other => panic!("expected NetCall, got {other:?}"),
+        }
+        assert_eq!(
+            *exec.stats(),
+            ExecStats {
+                instrs: 7,
+                obj_scalar: vec![0],
+                obj_bulk_bytes: vec![3],
+                obj_bulk_ops: vec![1],
+                net_rpcs: 1,
+                max_call_depth: 2,
+                ..Default::default()
+            }
+        );
+        let StepOutcome::Done(done) = exec.resume(&mut mem, b"VALUE").unwrap() else {
+            panic!("expected Done");
+        };
+        assert_eq!(&done.response[..], b"VALUE\x99");
+        assert_eq!(done.return_code, 0);
+        assert_eq!(
+            done.stats,
+            ExecStats {
+                instrs: 13,
+                obj_scalar: vec![0],
+                obj_bulk_bytes: vec![13],
+                obj_bulk_ops: vec![3],
+                emitted_bytes: 6,
+                net_rpcs: 1,
+                max_call_depth: 2,
+                ..Default::default()
+            }
+        );
+    }
+
+    /// An object fault part-way through a loop stops the run with the
+    /// faulting instruction counted and every earlier access recorded.
+    #[test]
+    fn object_fault_mid_loop_leaves_exact_stats() {
+        let entry = Function::new(
+            "overrun",
+            vec![
+                Instr::Const { dst: 1, value: 0 },
+                Instr::Const { dst: 2, value: 7 },
+                Instr::Store {
+                    obj: ObjId(0),
+                    addr: 1,
+                    src: 2,
+                    width: Width::B4,
+                },
+                Instr::Load {
+                    dst: 3,
+                    obj: ObjId(0),
+                    addr: 1,
+                    width: Width::B4,
+                },
+                Instr::Emit {
+                    src: 3,
+                    width: Width::B1,
+                },
+                Instr::AluImm {
+                    op: AluOp::Add,
+                    dst: 1,
+                    a: 1,
+                    imm: 4,
+                },
+                Instr::Jump { target: 2 },
+            ],
+        );
+        let p = one_lambda(entry, vec![MemObject::zeroed("small", 10)]);
+        let mut mem = ObjectMemory::for_lambda(&p.lambdas[0]);
+        let mut exec = start(&p, 0, RequestCtx::default(), 1_000);
+        assert_eq!(
+            exec.run(&mut mem),
+            Err(ExecError::ObjOutOfBounds {
+                obj: 0,
+                offset: 8,
+                len: 4
+            })
+        );
+        assert_eq!(
+            *exec.stats(),
+            ExecStats {
+                instrs: 13,
+                obj_scalar: vec![4],
+                obj_bulk_bytes: vec![0],
+                obj_bulk_ops: vec![0],
+                emitted_bytes: 2,
+                ..Default::default()
+            }
+        );
+        assert_eq!(mem.object(0), &[0, 0, 0, 7, 0, 0, 0, 7, 0, 0]);
+    }
+
+    /// Unvalidated bodies keep their lenient meaning: running off the end
+    /// of a function, or jumping past it, returns without spending fuel.
+    #[test]
+    fn falling_off_a_function_returns_without_fuel() {
+        let mut l = Lambda::new(
+            "lenient",
+            WorkloadId(1),
+            Function::new(
+                "entry",
+                vec![
+                    Instr::Call {
+                        func: FuncRef::Local(1),
+                    },
+                    Instr::Const { dst: 0, value: 5 },
+                ],
+            ),
+        );
+        l.add_function(Function::new(
+            "skip",
+            vec![
+                Instr::Const { dst: 1, value: 1 },
+                Instr::Jump { target: 99 },
+                Instr::Const { dst: 1, value: 2 },
+            ],
+        ));
+        let mut p = Program::new();
+        p.add_lambda(l, vec![]);
+        assert!(p.validate().is_err());
+        let p = Arc::new(p);
+        let mut mem = ObjectMemory::for_lambda(&p.lambdas[0]);
+        let mut exec = start(&p, 0, RequestCtx::default(), 4);
+        let StepOutcome::Done(done) = exec.run(&mut mem).unwrap() else {
+            panic!("expected Done");
+        };
+        assert_eq!(done.return_code, 5);
+        assert_eq!(done.stats.instrs, 4);
+        assert_eq!(done.stats.max_call_depth, 2);
+    }
+
+    #[test]
+    fn decode_rejects_what_would_panic_at_run_time() {
+        let bad_reg = single(Function::new(
+            "entry",
+            vec![Instr::Mov { dst: 0, src: 32 }, Instr::Ret],
+        ));
+        assert!(matches!(
+            Code::decode(&bad_reg),
+            Err(ValidateError::BadRegister { reg: 32, .. })
+        ));
+        let bad_obj = single(Function::new(
+            "entry",
+            vec![
+                Instr::EmitObj {
+                    obj: ObjId(0),
+                    off: 1,
+                    len: 2,
+                },
+                Instr::Ret,
+            ],
+        ));
+        assert!(matches!(
+            Code::decode(&bad_obj),
+            Err(ValidateError::BadObject { obj: ObjId(0), .. })
+        ));
+        let bad_call = single(Function::new(
+            "entry",
+            vec![
+                Instr::Call {
+                    func: FuncRef::Shared(0),
+                },
+                Instr::Ret,
+            ],
+        ));
+        assert!(matches!(
+            Code::decode(&bad_call),
+            Err(ValidateError::BadFunctionRef { .. })
+        ));
+        // A shared function is laid out once for every caller, so it may
+        // not call lambda-local code; its registers are checked too.
+        let mut shared_local = single(Function::new("entry", vec![Instr::Ret]));
+        shared_local.shared.push(Function::new(
+            "s",
+            vec![
+                Instr::Call {
+                    func: FuncRef::Local(0),
+                },
+                Instr::Ret,
+            ],
+        ));
+        assert_eq!(
+            Code::decode(&shared_local).unwrap_err(),
+            ValidateError::SharedFunctionCallsLocal { shared: 0 }
+        );
+        shared_local.shared[0].body[0] = Instr::Const { dst: 99, value: 1 };
+        assert!(matches!(
+            Code::decode(&shared_local),
+            Err(ValidateError::BadRegister { reg: 99, .. })
+        ));
+        let mut no_entry = single(Function::new("entry", vec![Instr::Ret]));
+        no_entry.lambdas[0].functions.clear();
+        assert!(matches!(
+            Code::decode(&no_entry),
+            Err(ValidateError::BadFunctionRef { .. })
+        ));
+        let mut dangling = single(Function::new("entry", vec![Instr::Ret]));
+        dangling.tables[0].entries[0].action = crate::program::MatchAction::Invoke {
+            lambda: 3,
+            params: vec![],
+        };
+        assert!(matches!(
+            Code::decode(&dangling),
+            Err(ValidateError::BadLambdaRef { lambda: 3, .. })
+        ));
+        // The one-shot path reports the decode failure as a typed error.
+        let mut mem = ObjectMemory::for_lambda(&bad_reg.lambdas[0]);
+        let err = run_to_completion(
+            &Arc::new(bad_reg),
+            0,
+            RequestCtx::default(),
+            &mut mem,
+            10,
+            |_, _| Bytes::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            ExecError::InvalidProgram(ValidateError::BadRegister { reg: 32, .. })
+        ));
+    }
+
+    #[test]
+    fn scalar_io_is_big_endian_and_width_masked() {
+        let data = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+        assert_eq!(be_read(&data, Width::B1), 0x01);
+        assert_eq!(be_read(&data, Width::B2), 0x0102);
+        assert_eq!(be_read(&data, Width::B4), 0x0102_0304);
+        assert_eq!(be_read(&data, Width::B8), 0x0102_0304_0506_0708);
+        let mut out = [0u8; 4];
+        be_write(&mut out, 0xAABB_CCDD, Width::B2);
+        assert_eq!(out, [0xCC, 0xDD, 0, 0]);
+        let mut emitted = Vec::new();
+        be_append(&mut emitted, 0xAABB_CCDD, Width::B4);
+        be_append(&mut emitted, 0x1FF, Width::B1);
+        assert_eq!(emitted, [0xAA, 0xBB, 0xCC, 0xDD, 0xFF]);
     }
 }

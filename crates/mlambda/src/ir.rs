@@ -370,35 +370,41 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Registers read by this instruction.
-    pub fn reads(&self) -> Vec<Reg> {
-        match *self {
-            Instr::Const { .. } | Instr::LoadHdr { .. } | Instr::LoadMatchData { .. } => vec![],
-            Instr::Mov { src, .. } => vec![src],
-            Instr::Alu { a, b, .. } => vec![a, b],
-            Instr::AluImm { a, .. } => vec![a],
-            Instr::Load { addr, .. } => vec![addr],
-            Instr::Store { addr, src, .. } => vec![addr, src],
-            Instr::LoadPayload { addr, .. } => vec![addr],
-            Instr::Emit { src, .. } => vec![src],
-            Instr::EmitObj { off, len, .. } => vec![off, len],
+    /// Registers read by this instruction (at most four; no allocation).
+    pub fn reads(&self) -> impl Iterator<Item = Reg> {
+        let (regs, n) = match *self {
+            Instr::Const { .. }
+            | Instr::LoadHdr { .. }
+            | Instr::LoadMatchData { .. }
+            | Instr::Jump { .. }
+            | Instr::Call { .. } => ([0; 4], 0),
+            Instr::Mov { src: r, .. }
+            | Instr::AluImm { a: r, .. }
+            | Instr::Load { addr: r, .. }
+            | Instr::LoadPayload { addr: r, .. }
+            | Instr::Emit { src: r, .. } => ([r, 0, 0, 0], 1),
+            Instr::Alu { a, b, .. }
+            | Instr::Branch { a, b, .. }
+            | Instr::Store {
+                addr: a, src: b, ..
+            }
+            | Instr::EmitObj { off: a, len: b, .. } => ([a, b, 0, 0], 2),
             Instr::PayloadToObj {
                 src_off,
                 dst_off,
                 len,
                 ..
-            } => vec![src_off, dst_off, len],
-            Instr::Branch { a, b, .. } => vec![a, b],
-            Instr::Jump { .. } | Instr::Call { .. } => vec![],
-            Instr::Ret => vec![RET_REG],
+            } => ([src_off, dst_off, len, 0], 3),
+            Instr::Ret => ([RET_REG, 0, 0, 0], 1),
             Instr::NetRpc {
                 req_off,
                 req_len,
                 resp_off,
                 resp_cap,
                 ..
-            } => vec![req_off, req_len, resp_off, resp_cap],
-        }
+            } => ([req_off, req_len, resp_off, resp_cap], 4),
+        };
+        regs.into_iter().take(n)
     }
 
     /// Register written by this instruction, if any.
@@ -421,21 +427,27 @@ impl Instr {
     /// if any. `NetRpc` touches two objects; this returns the request
     /// object (callers that need both use [`Instr::objects`]).
     pub fn object(&self) -> Option<(ObjId, Access)> {
-        self.objects().into_iter().next()
+        self.objects().next()
     }
 
-    /// All memory objects this instruction touches.
-    pub fn objects(&self) -> Vec<(ObjId, Access)> {
-        match *self {
-            Instr::Load { obj, .. } | Instr::EmitObj { obj, .. } => vec![(obj, Access::Read)],
+    /// All memory objects this instruction touches (no allocation).
+    pub fn objects(&self) -> impl Iterator<Item = (ObjId, Access)> {
+        let objs = match *self {
+            Instr::Load { obj, .. } | Instr::EmitObj { obj, .. } => {
+                [Some((obj, Access::Read)), None]
+            }
             Instr::Store { obj, .. } | Instr::PayloadToObj { obj, .. } => {
-                vec![(obj, Access::Write)]
+                [Some((obj, Access::Write)), None]
             }
             Instr::NetRpc {
                 req_obj, resp_obj, ..
-            } => vec![(req_obj, Access::Read), (resp_obj, Access::Write)],
-            _ => vec![],
-        }
+            } => [
+                Some((req_obj, Access::Read)),
+                Some((resp_obj, Access::Write)),
+            ],
+            _ => [None, None],
+        };
+        objs.into_iter().flatten()
     }
 
     /// The header field read, if any (drives parser inference).
@@ -536,9 +548,9 @@ mod tests {
             a: 1,
             b: 2,
         };
-        assert_eq!(i.reads(), vec![1, 2]);
+        assert_eq!(i.reads().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(i.writes(), Some(3));
-        assert!(Instr::Ret.reads().contains(&RET_REG));
+        assert!(Instr::Ret.reads().any(|r| r == RET_REG));
         assert_eq!(Instr::Ret.writes(), None);
     }
 
@@ -555,7 +567,7 @@ mod tests {
             resp_len_dst: 5,
         };
         assert_eq!(
-            i.objects(),
+            i.objects().collect::<Vec<_>>(),
             vec![(ObjId(0), Access::Read), (ObjId(1), Access::Write)]
         );
         assert_eq!(i.writes(), Some(5));

@@ -334,8 +334,25 @@ impl Program {
             }
             self.validate_body(&function.body, None, si)?;
         }
-        // Shared functions resolve object ids against the *calling*
-        // lambda; every caller must declare compatible objects.
+        self.check_shared_objects()?;
+        for lambda in &self.lambdas {
+            self.check_no_recursion(lambda)?;
+        }
+        for table in &self.tables {
+            for entry in &table.entries {
+                if entry.values.len() != table.keys.len() {
+                    return Err(ValidateError::MatchArity {
+                        table: table.name.clone(),
+                    });
+                }
+            }
+        }
+        self.check_lambda_refs()
+    }
+
+    /// Shared functions resolve object ids against the *calling* lambda;
+    /// every caller must declare compatible objects.
+    pub(crate) fn check_shared_objects(&self) -> Result<(), ValidateError> {
         for (li, lambda) in self.lambdas.iter().enumerate() {
             for si in self.reachable_shared(lambda) {
                 for instr in &self.shared[si as usize].body {
@@ -351,16 +368,13 @@ impl Program {
                 }
             }
         }
-        for lambda in &self.lambdas {
-            self.check_no_recursion(lambda)?;
-        }
+        Ok(())
+    }
+
+    /// Every match entry must invoke an existing lambda.
+    pub(crate) fn check_lambda_refs(&self) -> Result<(), ValidateError> {
         for table in &self.tables {
             for entry in &table.entries {
-                if entry.values.len() != table.keys.len() {
-                    return Err(ValidateError::MatchArity {
-                        table: table.name.clone(),
-                    });
-                }
                 if let MatchAction::Invoke { lambda, .. } = entry.action {
                     if lambda >= self.lambdas.len() {
                         return Err(ValidateError::BadLambdaRef {
@@ -387,21 +401,7 @@ impl Program {
                 function: fi,
                 pc,
             };
-            for r in instr.reads() {
-                if r as usize >= NUM_REGISTERS {
-                    return Err(ValidateError::BadRegister { loc, reg: r });
-                }
-            }
-            if let Some(w) = instr.writes() {
-                if w as usize >= NUM_REGISTERS {
-                    return Err(ValidateError::BadRegister { loc, reg: w });
-                }
-            }
-            for (obj, _) in instr.objects() {
-                if obj.0 as usize >= lambda.objects.len() {
-                    return Err(ValidateError::BadObject { loc, obj });
-                }
-            }
+            check_operands(instr, loc, Some(lambda.objects.len()))?;
             match *instr {
                 Instr::Branch { target, .. } | Instr::Jump { target }
                     if target as usize >= function.body.len() =>
@@ -439,17 +439,16 @@ impl Program {
         _lambda: Option<&Lambda>,
         si: usize,
     ) -> Result<(), ValidateError> {
-        for instr in body {
+        for (pc, instr) in body.iter().enumerate() {
+            let loc = Loc {
+                lambda: usize::MAX,
+                function: si,
+                pc,
+            };
+            check_operands(instr, loc, None)?;
             if let Instr::Branch { target, .. } | Instr::Jump { target } = *instr {
                 if target as usize >= body.len() {
-                    return Err(ValidateError::BadBranchTarget {
-                        loc: Loc {
-                            lambda: usize::MAX,
-                            function: si,
-                            pc: 0,
-                        },
-                        target,
-                    });
+                    return Err(ValidateError::BadBranchTarget { loc, target });
                 }
             }
         }
@@ -533,6 +532,29 @@ impl Program {
     }
 }
 
+/// Checks an instruction's register indices and, when the declaring
+/// lambda's object count is given, its object ids.
+pub(crate) fn check_operands(
+    instr: &Instr,
+    loc: Loc,
+    objects: Option<usize>,
+) -> Result<(), ValidateError> {
+    if let Some(reg) = instr
+        .reads()
+        .chain(instr.writes())
+        .find(|&r| r as usize >= NUM_REGISTERS)
+    {
+        return Err(ValidateError::BadRegister { loc, reg });
+    }
+    match objects {
+        Some(n) => match instr.objects().find(|(o, _)| o.0 as usize >= n) {
+            Some((obj, _)) => Err(ValidateError::BadObject { loc, obj }),
+            None => Ok(()),
+        },
+        None => Ok(()),
+    }
+}
+
 /// Location of a validation failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Loc {
@@ -545,7 +567,7 @@ pub struct Loc {
 }
 
 /// Structural validation errors.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidateError {
     /// A register index exceeds [`NUM_REGISTERS`].
     BadRegister {

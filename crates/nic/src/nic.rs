@@ -16,7 +16,7 @@ use rand::Rng;
 
 use lnic_mlambda::compile::Firmware;
 use lnic_mlambda::cost::{exec_cycles, mem_charge_cycles};
-use lnic_mlambda::interp::{Execution, HeaderValues, ObjectMemory, RequestCtx, StepOutcome};
+use lnic_mlambda::interp::{Code, Execution, HeaderValues, ObjectMemory, RequestCtx, StepOutcome};
 use lnic_mlambda::ir::retcode;
 use lnic_mlambda::program::{DispatchCtx, DispatchResult, Program};
 use lnic_net::frag::Reassembler;
@@ -173,6 +173,9 @@ pub struct NicCounters {
     /// Requests queued because their tenant's NPU-thread quota was
     /// exhausted even though idle threads existed.
     pub quota_deferrals: u64,
+    /// Firmware images refused at install because their program failed
+    /// to decode ([`Code::decode`]); the previous image keeps serving.
+    pub rejected_programs: u64,
 }
 
 /// Per-worker multi-tenant runtime state: the shared directory, the
@@ -282,7 +285,8 @@ pub struct Nic {
     dispatch_policy: DispatchPolicy,
 
     firmware: Option<Arc<Firmware>>,
-    program: Option<Arc<Program>>,
+    /// The installed firmware's program, decoded once at install.
+    code: Option<Arc<Code>>,
     deployed_mem: Vec<ObjectMemory>,
     swapping: bool,
     /// Power/fault state: a crashed NIC blackholes everything until a
@@ -373,7 +377,7 @@ impl Nic {
             services: HashMap::new(),
             dispatch_policy: DispatchPolicy::default(),
             firmware: None,
-            program: None,
+            code: None,
             deployed_mem: Vec::new(),
             swapping: false,
             crashed: false,
@@ -440,7 +444,9 @@ impl Nic {
     }
 
     /// Installs firmware immediately (no swap downtime); for experiment
-    /// setup where the image is in place before traffic starts.
+    /// setup where the image is in place before traffic starts. An image
+    /// whose program does not decode is refused and counted in
+    /// [`NicCounters::rejected_programs`].
     pub fn preload(mut self, firmware: Arc<Firmware>) -> Self {
         self.install(firmware);
         self
@@ -452,7 +458,9 @@ impl Nic {
     /// An out-of-band image push supersedes any in-flight swap: the
     /// pending swap completion is invalidated and the NIC serves the
     /// new image at once (disaster drills re-image a recovered rack
-    /// this way instead of waiting out the self-reload swap).
+    /// this way instead of waiting out the self-reload swap). An image
+    /// whose program does not decode is refused and counted, as in
+    /// [`Nic::preload`].
     pub fn install_now(&mut self, firmware: Arc<Firmware>) {
         if self.swapping {
             self.swapping = false;
@@ -608,16 +616,24 @@ impl Nic {
             .remove(&(pending.lambda_idx, hdr.request_id));
     }
 
-    fn install(&mut self, firmware: Arc<Firmware>) {
-        let program = Arc::new(firmware.program.clone());
-        self.deployed_mem = program
+    /// Decodes and installs `firmware`, returning whether it was taken.
+    /// An image whose program does not decode is refused and counted;
+    /// the running image, if any, keeps serving.
+    fn install(&mut self, firmware: Arc<Firmware>) -> bool {
+        let Ok(code) = Code::decode(&firmware.program) else {
+            self.counters.rejected_programs += 1;
+            return false;
+        };
+        self.deployed_mem = firmware
+            .program
             .lambdas
             .iter()
             .map(ObjectMemory::for_lambda)
             .collect();
-        self.program = Some(program);
+        self.code = Some(Arc::new(code));
         self.last_firmware = Some(Arc::clone(&firmware));
         self.firmware = Some(firmware);
+        true
     }
 
     /// Fails the NIC: every in-flight job (running or queued) is lost,
@@ -656,7 +672,7 @@ impl Nic {
         // Volatile deployment state is gone; any in-progress swap dies
         // with the NIC.
         self.firmware = None;
-        self.program = None;
+        self.code = None;
         self.deployed_mem = Vec::new();
         self.swapping = false;
         self.swap_epoch += 1;
@@ -869,14 +885,14 @@ impl Nic {
         assembled_payload: Bytes,
         extra_cycles: u64,
     ) {
-        let program = self.program.as_ref().expect("firmware installed").clone();
+        let firmware = Arc::clone(self.firmware.as_ref().expect("firmware installed"));
         let dctx = DispatchCtx {
             workload_id: hdr.workload_id,
             dst_port: packet.udp.dst_port,
             dst_ip: packet.ipv4.dst.to_bits(),
             has_lambda_hdr: true,
         };
-        match program.dispatch(&dctx) {
+        match firmware.program.dispatch(&dctx) {
             DispatchResult::ToHost => self.punt_to_host(ctx, packet),
             DispatchResult::Invoke { lambda, params } => {
                 self.counters.requests += 1;
@@ -917,7 +933,6 @@ impl Nic {
                     ExecMode::Pipelined { handoff_cycles, .. } => {
                         // The parse/match stage serializes over its own
                         // thread pool, then hands off across cores.
-                        let firmware = self.firmware.as_ref().expect("firmware installed");
                         let service = self
                             .params
                             .cycles_to_time(firmware.parse_match_cycles() + handoff_cycles);
@@ -1014,14 +1029,14 @@ impl Nic {
             request_id: pending.req_hdr.request_id,
             tenant_id: pending.req_hdr.tenant_id,
         });
-        let program = self.program.as_ref().expect("firmware installed").clone();
-        let firmware = self.firmware.as_ref().expect("firmware installed").clone();
+        let code = Arc::clone(self.code.as_ref().expect("firmware installed"));
+        let firmware = Arc::clone(self.firmware.as_ref().expect("firmware installed"));
         // Virtualized instruction store: a non-resident lambda pages its
         // firmware in first, charged as overhead on this request — the
         // per-lambda analogue of the whole-image swap downtime.
         let mut paging_cycles = 0;
         if let Some(rt) = &mut self.tenancy {
-            let words = Self::page_words(&program, pending.lambda_idx);
+            let words = Self::page_words(&firmware.program, pending.lambda_idx);
             let workload_id = pending.req_hdr.workload_id;
             let tenant_id = pending.tenant_id;
             if let Access::Fault { evicted } = rt.cache.access(workload_id, words) {
@@ -1047,7 +1062,7 @@ impl Nic {
             *rt.busy.entry(tenant_id).or_insert(0) += 1;
         }
         let exec = Execution::start(
-            Arc::clone(&program),
+            code,
             pending.lambda_idx,
             pending.ctx,
             self.params.lambda_fuel,
@@ -1709,10 +1724,11 @@ impl Component for Nic {
                 if done.swap_epoch != self.swap_epoch {
                     return; // the swap died with a crash
                 }
-                self.install(done.firmware);
                 self.swapping = false;
-                self.counters.swaps += 1;
-                ctx.emit(|| TraceEvent::ProgramInstall {});
+                if self.install(done.firmware) {
+                    self.counters.swaps += 1;
+                    ctx.emit(|| TraceEvent::ProgramInstall {});
+                }
             }
             Err(other) => panic!("nic received unknown message {other:?}"),
         }

@@ -493,3 +493,47 @@ fn lambda_with_two_sequential_rpcs_suspends_twice() {
     assert_eq!(nic_ref.counters().responses, 1);
     assert_eq!(nic_ref.busy_threads(), 0);
 }
+
+/// Firmware whose program reads register 40 (NPU threads have 32): it
+/// compiles from a valid program and is corrupted afterwards, as a
+/// malformed image pushed by a buggy controller would be.
+fn bad_register_firmware() -> Arc<Firmware> {
+    let mut fw = (*compile_fw(&web_program(b"bad"))).clone();
+    fw.program.lambdas[0].functions[0]
+        .body
+        .insert(0, lnic_mlambda::ir::Instr::Mov { dst: 1, src: 40 });
+    Arc::new(fw)
+}
+
+#[test]
+fn malformed_firmware_is_refused_and_the_previous_image_keeps_serving() {
+    let params = NicParams {
+        firmware_swap_time: SimDuration::from_millis(1),
+        ..NicParams::agilio_cx()
+    };
+    let (mut sim, nic, sink) = testbed(params.clone(), compile_fw(&web_program(b"v1")));
+    sim.post(
+        nic,
+        SimDuration::ZERO,
+        LoadFirmware::unfenced(bad_register_firmware()),
+    );
+    sim.post(nic, SimDuration::from_millis(5), request_packet(1, 1, b""));
+    sim.run();
+    let responses = &sim.get::<GwSink>(sink).unwrap().responses;
+    assert_eq!(responses.len(), 1);
+    assert_eq!(&responses[0].1.payload[..], b"v1");
+    let c = sim.get::<Nic>(nic).unwrap().counters();
+    assert_eq!(c.rejected_programs, 1);
+    assert_eq!(c.swaps, 0);
+    assert_eq!(c.faults, 0);
+
+    // A NIC preloaded with only the bad image serves nothing, and says why.
+    let (mut sim, nic, sink) = testbed(params, bad_register_firmware());
+    sim.post(nic, SimDuration::ZERO, request_packet(1, 1, b""));
+    sim.run();
+    assert!(sim.get::<GwSink>(sink).unwrap().responses.is_empty());
+    let c = sim.get::<Nic>(nic).unwrap().counters();
+    assert_eq!(c.rejected_programs, 1);
+    assert_eq!(c.dropped_downtime, 1);
+    assert_eq!(sim.get::<Nic>(nic).unwrap().memory_in_use_bytes(), 0);
+}
