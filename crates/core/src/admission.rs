@@ -9,8 +9,7 @@
 //! (rejecting requests whose deadline would expire before the proxy
 //! backlog drains) stays in the gateway, which owns the backlog clock.
 
-use std::collections::HashMap;
-
+use lnic_sim::hash::FastMap;
 use lnic_sim::time::SimTime;
 
 /// A token bucket refilled continuously at `rate_per_sec`, holding at
@@ -90,7 +89,7 @@ impl Default for AdmissionParams {
 #[derive(Debug)]
 pub struct Admission {
     params: AdmissionParams,
-    buckets: HashMap<u32, TokenBucket>,
+    buckets: FastMap<u32, TokenBucket>,
     admitted: u64,
     rejected: u64,
 }
@@ -100,7 +99,7 @@ impl Admission {
     pub fn new(params: AdmissionParams) -> Self {
         Admission {
             params,
-            buckets: HashMap::new(),
+            buckets: FastMap::default(),
             admitted: 0,
             rejected: 0,
         }

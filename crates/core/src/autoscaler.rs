@@ -23,8 +23,7 @@
 //! [`PlacementProposal`], letting the placer fold scale decisions into
 //! its global placement plan.
 
-use std::collections::HashMap;
-
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
 use crate::cluster::Worker;
@@ -128,9 +127,9 @@ pub struct Autoscaler {
     /// than applied at the gateway.
     proposals_to: Option<ComponentId>,
     /// Last scale action per workload (cooldown clock).
-    last_action: HashMap<u32, SimTime>,
+    last_action: FastMap<u32, SimTime>,
     /// Consecutive low-load windows per workload (hysteresis counter).
-    low_windows: HashMap<u32, u32>,
+    low_windows: FastMap<u32, u32>,
 }
 
 impl Autoscaler {
@@ -142,8 +141,8 @@ impl Autoscaler {
             workers,
             events: Vec::new(),
             proposals_to: None,
-            last_action: HashMap::new(),
-            low_windows: HashMap::new(),
+            last_action: FastMap::default(),
+            low_windows: FastMap::default(),
         }
     }
 

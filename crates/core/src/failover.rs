@@ -43,14 +43,13 @@
 //! [`lnic_sim::fault::Restart`]) resumes from the last snapshot and
 //! reconciles against worker-reported epochs ([`EpochQuery`]).
 
-use std::collections::HashMap;
-
 use lnic_net::transport::UpdateService;
 use lnic_net::MacAddr;
 use lnic_sim::fault::{
     Crash, EpochQuery, EpochReport, GrantLease, HealthPing, HealthPong, LeaseAck, NetCutFrom,
     Restart,
 };
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
 use crate::gateway::{
@@ -270,9 +269,9 @@ pub struct FailoverController {
     gateway: ComponentId,
     workers: Vec<WorkerHealth>,
     /// Current primary home of each workload (index into `workers`).
-    home: HashMap<u32, usize>,
+    home: FastMap<u32, usize>,
     /// Where each workload was homed at setup (restored on recovery).
-    origin: HashMap<u32, usize>,
+    origin: FastMap<u32, usize>,
     started: bool,
     counters: FailoverCounters,
     events: Vec<FailoverEvent>,
@@ -281,7 +280,7 @@ pub struct FailoverController {
     planner: Option<ComponentId>,
     /// Peers this controller is partitioned from (by component index),
     /// and until when; their acks/pongs/reports are dropped.
-    cut_from: HashMap<usize, SimTime>,
+    cut_from: FastMap<usize, SimTime>,
     /// Crashed control plane: silent until a [`Restart`].
     crashed: bool,
     /// Last stable snapshot (survives crashes — modeled stable storage).
@@ -296,7 +295,7 @@ pub struct FailoverController {
     lease_seq: u64,
     /// Workload → service id routes to broadcast ([`UpdateService`])
     /// when a re-placement moves the workload.
-    service_routes: HashMap<u32, u16>,
+    service_routes: FastMap<u32, u16>,
     /// A restore happened; emit `SnapshotRestored` (with the count of
     /// workers whose reported epoch was ahead) on the next beat, after
     /// the zero-delay [`EpochReport`]s have arrived.
@@ -336,20 +335,20 @@ impl FailoverController {
                     fenced: false,
                 })
                 .collect(),
-            home: HashMap::new(),
-            origin: HashMap::new(),
+            home: FastMap::default(),
+            origin: FastMap::default(),
             started: false,
             counters: FailoverCounters::default(),
             events: Vec::new(),
             planner: None,
-            cut_from: HashMap::new(),
+            cut_from: FastMap::default(),
             crashed: false,
             stable: None,
             snap_seq: 0,
             beat_gen: 0,
             snap_gen: 0,
             lease_seq: 0,
-            service_routes: HashMap::new(),
+            service_routes: FastMap::default(),
             restore_pending: None,
             extra_gateways: Vec::new(),
         }

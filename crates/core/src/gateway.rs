@@ -10,7 +10,6 @@
 //! occupancy (`proxy_cost`), which is what bounds λ-NIC's aggregate
 //! throughput in Table 2.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -23,6 +22,7 @@ use lnic_net::params::MTU_PAYLOAD_BYTES;
 use lnic_net::transport::{RetryPolicy, RpcTracker, TimeoutAction, UpdateService};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_sim::fault::{Crash, EpochQuery, EpochReport, GrantLease, LeaseAck, NetCutFrom, Restart};
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use lnic_tenant::{TenantDirectory, TenantId, DEFAULT_TENANT};
 use lnic_workloads::kv::{decode_repkv_get_response, decode_repkv_request, RepKvOp};
@@ -443,26 +443,26 @@ struct PendingMeta {
 pub struct Gateway {
     params: GatewayParams,
     uplink: ComponentId,
-    placements: HashMap<u32, Vec<WorkerEndpoint>>,
-    rr: HashMap<u32, usize>,
+    placements: FastMap<u32, Vec<WorkerEndpoint>>,
+    rr: FastMap<u32, usize>,
     /// Latency samples since the last stats query, per workload.
-    window: HashMap<u32, Series>,
+    window: FastMap<u32, Series>,
     tracker: RpcTracker,
-    meta: HashMap<u64, PendingMeta>,
+    meta: FastMap<u64, PendingMeta>,
     /// Serialized proxy occupancy.
     busy_until: SimTime,
     counters: GatewayCounters,
     /// Wire-to-wire latency per workload id.
-    latency: HashMap<u32, Series>,
+    latency: FastMap<u32, Series>,
     next_ident: u16,
     /// Admission gate (None admits everything).
     admission: Option<Admission>,
     /// Last queue depth each worker advertised in a response header;
     /// used for join-shortest-advertised-queue replica selection.
-    endpoint_depth: HashMap<MacAddr, u16>,
+    endpoint_depth: FastMap<MacAddr, u16>,
     /// Per-endpoint latency accumulator `(sum_ns, count)` since the
     /// last flush to the latency observer.
-    pending_lat: HashMap<MacAddr, (u64, u64)>,
+    pending_lat: FastMap<MacAddr, (u64, u64)>,
     /// Who receives [`EndpointLatencyReport`]s (the fail-slow detector).
     latency_observer: Option<ComponentId>,
     /// Whether a `GwLatFlush` timer is currently armed.
@@ -470,31 +470,31 @@ pub struct Gateway {
     /// The fencing token each worker currently serves under; stamped
     /// into the lambda header of every request routed at it (0 when the
     /// worker is outside any lease regime).
-    worker_epochs: HashMap<MacAddr, u64>,
+    worker_epochs: FastMap<MacAddr, u64>,
     /// Minimum acceptable reply epoch per fenced worker; older replies
     /// are discarded to prevent double-completion after re-placement.
-    fence_floors: HashMap<MacAddr, u64>,
+    fence_floors: FastMap<MacAddr, u64>,
     /// Replicated workloads: workload id → replica-group service id.
     /// Their requests emit `KvInvoke`/`KvResponse` trace events (the
     /// linearizability checker's history) and follow leader routing.
-    replicated: HashMap<u32, u16>,
+    replicated: FastMap<u32, u16>,
     /// Last announced leader MAC per replicated workload; preferred by
     /// `pick_endpoint` while it remains in the placement list.
-    preferred_leader: HashMap<u32, MacAddr>,
+    preferred_leader: FastMap<u32, MacAddr>,
     /// In-flight replicated-KV ops: request id → `(write, value)`, used
     /// to emit the matching `KvResponse` at resolution.
-    kv_ops: HashMap<u64, (bool, u64)>,
+    kv_ops: FastMap<u64, (bool, u64)>,
     /// The tenant directory; `None` stamps everything [`DEFAULT_TENANT`].
     tenants: Option<Arc<TenantDirectory>>,
     /// In-flight requests per tenant (quota enforcement).
-    tenant_in_flight: HashMap<TenantId, usize>,
+    tenant_in_flight: FastMap<TenantId, usize>,
     /// This gateway's shard id within a gateway tier (0 standalone).
     gateway_id: u32,
     /// Crashed: every message except [`Restart`] is blackholed.
     crashed: bool,
     /// Control-plane partition: direct messages from these component
     /// indices are dropped until the recorded instant.
-    cut_from: HashMap<usize, SimTime>,
+    cut_from: FastMap<usize, SimTime>,
     /// Whether this shard was ever enrolled in the tier lease regime.
     /// Once enrolled it self-fences whenever its lease lapses —
     /// including after a crash, when the lease state itself is lost —
@@ -533,30 +533,30 @@ impl Gateway {
         Gateway {
             params,
             uplink,
-            placements: HashMap::new(),
-            rr: HashMap::new(),
-            window: HashMap::new(),
+            placements: FastMap::default(),
+            rr: FastMap::default(),
+            window: FastMap::default(),
             tracker: RpcTracker::with_policy(policy),
-            meta: HashMap::new(),
+            meta: FastMap::default(),
             busy_until: SimTime::ZERO,
             counters: GatewayCounters::default(),
-            latency: HashMap::new(),
+            latency: FastMap::default(),
             next_ident: 0,
             admission,
-            endpoint_depth: HashMap::new(),
-            pending_lat: HashMap::new(),
+            endpoint_depth: FastMap::default(),
+            pending_lat: FastMap::default(),
             latency_observer: None,
             lat_timer_armed: false,
-            worker_epochs: HashMap::new(),
-            fence_floors: HashMap::new(),
-            replicated: HashMap::new(),
-            preferred_leader: HashMap::new(),
-            kv_ops: HashMap::new(),
+            worker_epochs: FastMap::default(),
+            fence_floors: FastMap::default(),
+            replicated: FastMap::default(),
+            preferred_leader: FastMap::default(),
+            kv_ops: FastMap::default(),
             tenants: None,
-            tenant_in_flight: HashMap::new(),
+            tenant_in_flight: FastMap::default(),
             gateway_id: 0,
             crashed: false,
-            cut_from: HashMap::new(),
+            cut_from: FastMap::default(),
             tier_enrolled: false,
             tier_lease: WorkerView::new(),
             draining: None,

@@ -26,7 +26,6 @@
 //! re-routed one), but the router delivers exactly one completion per
 //! client uid and the online checker (rule 14) asserts it on every run.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,6 +33,7 @@ use bytes::Bytes;
 
 use lnic_net::packet::RC_FENCED;
 use lnic_sim::fault::{Crash, EpochQuery, EpochReport, GrantLease, LeaseAck, NetCutFrom, Restart};
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use lnic_workloads::planet::PlanetModel;
 use rand::Rng;
@@ -570,16 +570,16 @@ pub struct ShardRouter {
     map: Arc<ShardMap>,
     cfg: TierConfig,
     next_uid: u64,
-    pending: HashMap<u64, PendingClient>,
+    pending: FastMap<u64, PendingClient>,
     /// Uid → delivery instant for every completion delivered — the
     /// exactly-once filter, and the recovery-time probe the disaster
     /// bench reads. Grows for the life of the run (simulation memory,
     /// not a production design; a real router would age this out by
     /// lease).
-    delivered: HashMap<u64, SimTime>,
+    delivered: FastMap<u64, SimTime>,
     counters: RouterCounters,
     /// Direct peers currently cut (component index → until).
-    cut_from: HashMap<usize, SimTime>,
+    cut_from: FastMap<usize, SimTime>,
 }
 
 impl ShardRouter {
@@ -596,10 +596,10 @@ impl ShardRouter {
             map,
             cfg,
             next_uid: 0,
-            pending: HashMap::new(),
-            delivered: HashMap::new(),
+            pending: FastMap::default(),
+            delivered: FastMap::default(),
             counters: RouterCounters::default(),
-            cut_from: HashMap::new(),
+            cut_from: FastMap::default(),
         }
     }
 
@@ -971,7 +971,7 @@ pub struct TierController {
     counters: TierCounters,
     started: bool,
     /// Direct peers currently cut (component index → until).
-    cut_from: HashMap<usize, SimTime>,
+    cut_from: FastMap<usize, SimTime>,
     /// Crashed: every message except `Restart` is blackholed.
     crashed: bool,
     /// Lease-tick generation; bumped on restart so pre-crash ticks die.
@@ -1024,7 +1024,7 @@ impl TierController {
             seq: 0,
             counters: TierCounters::default(),
             started: false,
-            cut_from: HashMap::new(),
+            cut_from: FastMap::default(),
             crashed: false,
             tick_gen: 0,
             snap_gen: 0,

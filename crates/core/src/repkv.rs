@@ -24,8 +24,6 @@
 //!   leader's endpoint for the replicated workload; non-leaders answer
 //!   `RC_REDIRECT` and the gateway retries elsewhere.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use lnic_net::frag::{fragment, Reassembler};
@@ -37,6 +35,7 @@ use lnic_raft::codec;
 use lnic_raft::msg::{ClientOp, ClientReply, ClientRequest, RaftMsg};
 use lnic_raft::node::{RaftConfig, RaftNode, StartNode};
 use lnic_raft::types::{Command, NodeId, Role};
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use lnic_workloads::kv::{
     decode_repkv_request, repkv_get_response, RepKvOp, REPKV_SERVICE, REPKV_WORKLOAD_ID,
@@ -89,7 +88,7 @@ pub struct RepKvReplica {
     raft: Option<RaftNode>,
     crashed: bool,
     reassembler: Reassembler,
-    pending: HashMap<u64, PendingClient>,
+    pending: FastMap<u64, PendingClient>,
     next_token: u64,
     next_msg_seq: u64,
     next_ident: u16,
@@ -119,7 +118,7 @@ impl RepKvReplica {
             raft: None,
             crashed: false,
             reassembler: Reassembler::new(),
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             next_token: 0,
             next_msg_seq: 0,
             next_ident: 0,

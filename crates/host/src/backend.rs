@@ -10,7 +10,7 @@
 //! interpreter as the NIC (with host cycle costs), and leave through the
 //! kernel transmit path.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -25,6 +25,7 @@ use lnic_net::transport::retries_exhausted;
 pub use lnic_net::transport::UpdateService;
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_sim::fault::{Crash, HealthPing, HealthPong, Restart, StallFor};
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use rand::Rng;
 
@@ -166,7 +167,7 @@ pub struct HostBackend {
     mac: MacAddr,
     ip: Ipv4Addr,
     uplink: ComponentId,
-    services: HashMap<u16, ServiceEndpoint>,
+    services: FastMap<u16, ServiceEndpoint>,
 
     program: Option<Arc<Program>>,
     /// `program`, decoded once at install.
@@ -184,7 +185,7 @@ pub struct HostBackend {
     counters: HostCounters,
     cpu_busy: SimDuration,
     service_time: Series,
-    arrivals: HashMap<(usize, u64), SimTime>,
+    arrivals: FastMap<(usize, u64), SimTime>,
     in_flight: usize,
 
     crashed: bool,
@@ -203,7 +204,7 @@ pub struct HostBackend {
     lease_until: Option<SimTime>,
     /// Peers (by component index) this node is partitioned from, and
     /// until when; direct control messages from them are dropped.
-    cut_from: HashMap<usize, SimTime>,
+    cut_from: FastMap<usize, SimTime>,
 }
 
 impl HostBackend {
@@ -221,7 +222,7 @@ impl HostBackend {
             mac,
             ip,
             uplink,
-            services: HashMap::new(),
+            services: FastMap::default(),
             program: None,
             code: None,
             deployed_mem: Vec::new(),
@@ -235,7 +236,7 @@ impl HostBackend {
             counters: HostCounters::default(),
             cpu_busy: SimDuration::ZERO,
             service_time: Series::new("host_service_time"),
-            arrivals: HashMap::new(),
+            arrivals: FastMap::default(),
             in_flight: 0,
             crashed: false,
             restart_epoch: 0,
@@ -245,7 +246,7 @@ impl HostBackend {
             slow_factor: 1.0,
             lease_epoch: 0,
             lease_until: None,
-            cut_from: HashMap::new(),
+            cut_from: FastMap::default(),
         }
     }
 

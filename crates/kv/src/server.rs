@@ -5,10 +5,9 @@
 //! path): requests serialize through it with a per-operation service
 //! time plus a per-byte cost for large values.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use lnic_net::packet::Packet;
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
 use crate::protocol::{Request, Response};
@@ -60,9 +59,9 @@ pub struct KvCounters {
 pub struct KvServer {
     params: KvServerParams,
     uplink: ComponentId,
-    data: HashMap<String, (u32, Bytes)>,
+    data: FastMap<String, (u32, Bytes)>,
     /// LRU recency: key -> last-use stamp (higher = more recent).
-    recency: HashMap<String, u64>,
+    recency: FastMap<String, u64>,
     clock: u64,
     stored_bytes: usize,
     counters: KvCounters,
@@ -76,8 +75,8 @@ impl KvServer {
         KvServer {
             params,
             uplink,
-            data: HashMap::new(),
-            recency: HashMap::new(),
+            data: FastMap::default(),
+            recency: FastMap::default(),
             clock: 0,
             stored_bytes: 0,
             counters: KvCounters::default(),

@@ -7,9 +7,8 @@
 //! the paper's footnote 3 measures that reordering four 100 B packets costs
 //! 120 NPU instructions, i.e. [`REORDER_INSTRS_PER_FRAGMENT`] = 30.
 
-use std::collections::HashMap;
-
 use bytes::{Bytes, BytesMut};
+use lnic_sim::hash::FastMap;
 
 use crate::packet::LambdaHdr;
 
@@ -111,7 +110,7 @@ struct Partial {
 /// ```
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    partials: HashMap<u64, Partial>,
+    partials: FastMap<u64, Partial>,
     duplicates: u64,
     mismatched: u64,
 }

@@ -316,17 +316,23 @@ impl Component for Link {
             arrival += SimDuration::from_nanos(jitter);
         }
 
-        ctx.send_boxed(self.dst, arrival - ctx.now(), Box::new((*packet).clone()));
+        // Duplication window: deliver a second copy back-to-back behind the
+        // first, as a misbehaving switch would. Only this path copies the
+        // frame; the original travels on in the box it arrived in.
+        let duplicate = (ctx.now() < self.dup_until
+            && self.dup_prob > 0.0
+            && ctx.rng().gen_bool(self.dup_prob))
+        .then(|| Box::new((*packet).clone()));
+
+        ctx.send_boxed(self.dst, arrival - ctx.now(), packet);
         self.delivered.incr();
         ctx.emit(|| TraceEvent::LinkTx {
             bytes: bytes as u64,
         });
 
-        // Duplication window: deliver a second copy back-to-back behind the
-        // first, as a misbehaving switch would.
-        if ctx.now() < self.dup_until && self.dup_prob > 0.0 && ctx.rng().gen_bool(self.dup_prob) {
+        if let Some(copy) = duplicate {
             let dup_arrival = arrival + self.params.serialization_delay(bytes);
-            ctx.send_boxed(self.dst, dup_arrival - ctx.now(), Box::new(*packet));
+            ctx.send_boxed(self.dst, dup_arrival - ctx.now(), copy);
             self.duplicated.incr();
         }
     }

@@ -6,8 +6,7 @@
 //! serialization and queueing behaviour; the switch itself adds a fixed
 //! forwarding latency per frame.
 
-use std::collections::HashMap;
-
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
 use crate::addr::MacAddr;
@@ -22,7 +21,7 @@ use crate::params::SwitchParams;
 pub struct Switch {
     params: SwitchParams,
     /// Output port (a simplex `Link` component) per destination MAC.
-    fib: HashMap<MacAddr, ComponentId>,
+    fib: FastMap<MacAddr, ComponentId>,
     forwarded: Counter,
     unroutable: Counter,
 }
@@ -33,7 +32,7 @@ impl Switch {
     pub fn new(params: SwitchParams) -> Self {
         Switch {
             params,
-            fib: HashMap::new(),
+            fib: FastMap::default(),
             forwarded: Counter::new(),
             unroutable: Counter::new(),
         }

@@ -12,9 +12,8 @@
 //! with seeded jitter and a per-request deadline for paths that must
 //! survive worker failures without synchronized retry storms.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
+use lnic_sim::hash::FastMap;
 use lnic_sim::time::{SimDuration, SimTime};
 use rand::Rng;
 
@@ -188,7 +187,7 @@ pub enum TimeoutAction {
 pub struct RpcTracker {
     policy: RetryPolicy,
     next_id: u64,
-    outstanding: HashMap<u64, Outstanding>,
+    outstanding: FastMap<u64, Outstanding>,
     completed: u64,
     retransmitted: u64,
     failed: u64,
@@ -216,7 +215,7 @@ impl RpcTracker {
         RpcTracker {
             policy,
             next_id: 1,
-            outstanding: HashMap::new(),
+            outstanding: FastMap::default(),
             completed: 0,
             retransmitted: 0,
             failed: 0,

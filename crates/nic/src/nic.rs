@@ -8,7 +8,6 @@
 //! over RDMA and dispatched once reassembled (§4.2-D3); packets that match
 //! no lambda are punted to the host OS across PCIe.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -22,6 +21,7 @@ use lnic_mlambda::program::{DispatchCtx, DispatchResult, Program};
 use lnic_net::frag::Reassembler;
 use lnic_net::packet::{LambdaHdr, LambdaKind, Packet};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
 use lnic_tenant::cache::{Access, FirmwareCache};
@@ -188,7 +188,7 @@ struct TenantRuntime {
     /// charge (the per-lambda analogue of a whole-image swap).
     cache: FirmwareCache,
     /// Lambda threads currently executing each tenant's work.
-    busy: HashMap<TenantId, usize>,
+    busy: FastMap<TenantId, usize>,
 }
 
 #[derive(Debug)]
@@ -281,7 +281,7 @@ pub struct Nic {
     ip: Ipv4Addr,
     uplink: ComponentId,
     host: Option<ComponentId>,
-    services: HashMap<u16, ServiceEndpoint>,
+    services: FastMap<u16, ServiceEndpoint>,
     dispatch_policy: DispatchPolicy,
 
     firmware: Option<Arc<Firmware>>,
@@ -314,13 +314,13 @@ pub struct Nic {
     lease_until: Option<SimTime>,
     /// Partition windows: direct control messages from these component
     /// indices are blackholed until the stored instant.
-    cut_from: HashMap<usize, SimTime>,
+    cut_from: FastMap<usize, SimTime>,
     /// NIC-resident services by workload id: intercepted ahead of the
     /// firmware dispatch path and delegated to a co-located component
     /// (the replicated KV replica).
-    resident: HashMap<u32, ComponentId>,
+    resident: FastMap<u32, ComponentId>,
     /// Outstanding [`ResidentCall`]s awaiting their [`ResidentDone`].
-    resident_pending: HashMap<u64, ResidentReply>,
+    resident_pending: FastMap<u64, ResidentReply>,
     resident_next_token: u64,
 
     threads: Vec<Thread>,
@@ -333,7 +333,7 @@ pub struct Nic {
     queue: HierarchicalWfq<PendingRequest>,
     /// Lambda WFQ weights by index, applied lazily to whichever tenant
     /// slice the lambda's requests arrive under.
-    lambda_weights: HashMap<usize, f64>,
+    lambda_weights: FastMap<usize, f64>,
     /// Multi-tenant runtime; `None` keeps the single-tenant behavior.
     tenancy: Option<TenantRuntime>,
     reassembler: Reassembler,
@@ -341,7 +341,7 @@ pub struct Nic {
     counters: NicCounters,
     /// Per-request NIC-side service time (arrival to response emission).
     service_time: Series,
-    arrival_times: HashMap<(usize, u64), SimTime>,
+    arrival_times: FastMap<(usize, u64), SimTime>,
     /// Pipelined mode: next-free times of the parse/match stage threads.
     stage_free_at: Vec<SimTime>,
 }
@@ -374,7 +374,7 @@ impl Nic {
             ip,
             uplink,
             host: None,
-            services: HashMap::new(),
+            services: FastMap::default(),
             dispatch_policy: DispatchPolicy::default(),
             firmware: None,
             code: None,
@@ -388,20 +388,20 @@ impl Nic {
             slow_factor: 1.0,
             lease_epoch: 0,
             lease_until: None,
-            cut_from: HashMap::new(),
-            resident: HashMap::new(),
-            resident_pending: HashMap::new(),
+            cut_from: FastMap::default(),
+            resident: FastMap::default(),
+            resident_pending: FastMap::default(),
             resident_next_token: 0,
             threads,
             idle,
             rr_next: 0,
             queue: HierarchicalWfq::new(),
-            lambda_weights: HashMap::new(),
+            lambda_weights: FastMap::default(),
             tenancy: None,
             reassembler: Reassembler::new(),
             counters: NicCounters::default(),
             service_time: Series::new("nic_service_time"),
-            arrival_times: HashMap::new(),
+            arrival_times: FastMap::default(),
             stage_free_at,
         }
     }
@@ -488,7 +488,7 @@ impl Nic {
         }
         self.tenancy = Some(TenantRuntime {
             cache: FirmwareCache::new(cfg.cache_words),
-            busy: HashMap::new(),
+            busy: FastMap::default(),
             dir,
             cfg,
         });

@@ -18,8 +18,9 @@
 //! on the constrained resource and must not be gated on proving a
 //! latency win.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use lnic_sim::hash::FastMap;
 use lnic_sim::time::{SimDuration, SimTime};
 
 use crate::packer::Target;
@@ -52,7 +53,7 @@ pub struct Move {
 /// so hysteresis survives across planning rounds.
 #[derive(Debug, Default)]
 pub struct MigrationPlanner {
-    last_move: HashMap<u32, SimTime>,
+    last_move: FastMap<u32, SimTime>,
 }
 
 impl MigrationPlanner {

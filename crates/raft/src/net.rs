@@ -5,8 +5,7 @@
 //! control over asynchrony: per-message random delay, probabilistic
 //! drops, and explicit partitions.
 
-use std::collections::HashSet;
-
+use lnic_sim::hash::FastSet;
 use lnic_sim::prelude::*;
 use rand::Rng;
 
@@ -32,7 +31,7 @@ pub struct RaftNet {
     max_delay: SimDuration,
     drop_prob: f64,
     /// `blocked[a][b]` when messages a->b are cut.
-    blocked: HashSet<(NodeId, NodeId)>,
+    blocked: FastSet<(NodeId, NodeId)>,
     delivered: Counter,
     dropped: Counter,
 }
@@ -58,7 +57,7 @@ impl RaftNet {
             min_delay,
             max_delay,
             drop_prob,
-            blocked: HashSet::new(),
+            blocked: FastSet::default(),
             delivered: Counter::new(),
             dropped: Counter::new(),
         }

@@ -1,8 +1,7 @@
 //! The Raft consensus node (leader election + log replication, following
 //! the Raft paper's Figure 2; no snapshots or membership changes).
 
-use std::collections::{HashMap, HashSet};
-
+use lnic_sim::hash::{FastMap, FastSet};
 use lnic_sim::prelude::*;
 use rand::Rng;
 
@@ -80,9 +79,9 @@ pub struct RaftNode {
     commit_index: LogIndex,
     last_applied: LogIndex,
     leader_hint: Option<NodeId>,
-    votes: HashSet<NodeId>,
-    next_index: HashMap<NodeId, LogIndex>,
-    match_index: HashMap<NodeId, LogIndex>,
+    votes: FastSet<NodeId>,
+    next_index: FastMap<NodeId, LogIndex>,
+    match_index: FastMap<NodeId, LogIndex>,
     election_epoch: u64,
 
     /// Whether the node is crashed (ignores traffic until restart).
@@ -92,13 +91,13 @@ pub struct RaftNode {
     /// checking in tests.
     applied: Vec<(LogIndex, Term, Command)>,
     /// Client waiting on each proposed index.
-    pending: HashMap<LogIndex, (u64, ComponentId)>,
+    pending: FastMap<LogIndex, (u64, ComponentId)>,
     /// History of `(term, was_leader)` observations for election-safety
     /// checks.
     leader_terms: Vec<Term>,
     /// When each peer last acknowledged an append from this leader
     /// (read-lease freshness evidence; cleared on every role change).
-    ack_times: HashMap<NodeId, SimTime>,
+    ack_times: FastMap<NodeId, SimTime>,
     /// Index of the no-op this leader proposed on election; local reads
     /// wait for it to commit (Raft §8's current-commit-index guard).
     term_start: LogIndex,
@@ -126,16 +125,16 @@ impl RaftNode {
             commit_index: 0,
             last_applied: 0,
             leader_hint: None,
-            votes: HashSet::new(),
-            next_index: HashMap::new(),
-            match_index: HashMap::new(),
+            votes: FastSet::default(),
+            next_index: FastMap::default(),
+            match_index: FastMap::default(),
             election_epoch: 0,
             crashed: false,
             kv: KvStore::default(),
             applied: Vec::new(),
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             leader_terms: Vec::new(),
-            ack_times: HashMap::new(),
+            ack_times: FastMap::default(),
             term_start: 0,
         }
     }
@@ -313,7 +312,7 @@ impl RaftNode {
         self.term += 1;
         self.role = Role::Candidate;
         self.voted_for = Some(self.id);
-        self.votes = [self.id].into();
+        self.votes = FastSet::from_iter([self.id]);
         self.leader_hint = None;
         self.reset_election_timer(ctx);
         let (lli, llt) = (self.last_log_index(), self.last_log_term());

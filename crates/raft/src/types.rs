@@ -2,8 +2,10 @@
 //! key-value state machine (the `etcd` the paper's framework uses to sync
 //! lambda placement state, §6.1.1).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
+
+use lnic_sim::hash::FastSet;
 
 /// A Raft term.
 pub type Term = u64;
@@ -78,7 +80,7 @@ pub struct LogEntry {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvStore {
     data: BTreeMap<String, Vec<u8>>,
-    applied_uids: HashSet<u64>,
+    applied_uids: FastSet<u64>,
 }
 
 impl KvStore {

@@ -95,8 +95,9 @@
 //! [`InvariantChecker::collecting`] to gather violations instead (e.g.
 //! to assert that a deliberately broken run *is* caught).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
+use crate::hash::{FastMap, FastSet};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceRecord, TraceSink};
 
@@ -153,7 +154,7 @@ struct LambdaQueue {
 /// every lambda in it was continuously backlogged.
 #[derive(Debug, Default)]
 struct WfqState {
-    lambdas: HashMap<u32, LambdaQueue>,
+    lambdas: FastMap<u32, LambdaQueue>,
     window_dequeues: u64,
 }
 
@@ -223,7 +224,7 @@ struct KeyHistory {
     /// Values of ghost writes dropped by a forced compaction: a later
     /// read returning one is accepted as "the ghost applied just before
     /// this read" (over-approximation, see [`KV_WINDOW_CAP`]).
-    wildcard: HashSet<u64>,
+    wildcard: FastSet<u64>,
     /// Invocations on this key still awaiting a response.
     open: usize,
 }
@@ -261,7 +262,7 @@ impl KeyHistory {
             }
         }
         let mut finals = BTreeSet::new();
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         let mut stack: Vec<(u128, Option<u64>)> =
             self.init_values.iter().map(|&v| (0u128, v)).collect();
         while let Some((mask, val)) = stack.pop() {
@@ -369,55 +370,55 @@ pub struct InvariantChecker {
     submitted: u64,
     completed: u64,
     failed: u64,
-    outstanding: HashSet<u64>,
+    outstanding: FastSet<u64>,
     // Requests with a hedge in flight: a hedge may only be fired once
     // per request, only while the request is outstanding, and must
     // never double-count in conservation (the completion stays 1:1).
-    hedged: HashSet<u64>,
+    hedged: FastSet<u64>,
     shed: u64,
 
     // Run-to-completion + cost consistency, keyed by (component, core).
-    slots: HashMap<(usize, u32), JobSpan>,
+    slots: FastMap<(usize, u32), JobSpan>,
 
     // WFQ fairness, keyed by component. The lambda tier tracks the
     // per-lambda queues; the tenant tier (invariant 13) tracks the
     // tenant level of the hierarchical tree. The events carry per-lambda
     // depths, so each tenant's backlog is maintained as a running sum of
     // its lambdas' last-seen depths (`wfq_lambda_depth` holds them).
-    wfq: HashMap<usize, WfqState>,
-    tenant_wfq: HashMap<usize, WfqState>,
-    wfq_lambda_depth: HashMap<(usize, u32), (u32, u64)>,
+    wfq: FastMap<usize, WfqState>,
+    tenant_wfq: FastMap<usize, WfqState>,
+    wfq_lambda_depth: FastMap<(usize, u32), (u32, u64)>,
 
     // Tenant isolation (invariants 11–12): workload→owner from
     // tenant_assign events, and request→workload from submissions so
     // exec_start (which carries the program-local lambda index, not the
     // workload id) can be joined back to its owner.
-    tenant_owner: HashMap<u32, u32>,
-    request_workload: HashMap<u64, u32>,
+    tenant_owner: FastMap<u32, u32>,
+    request_workload: FastMap<u64, u32>,
 
     // Placement conservation (invariant 6). Capacities are keyed by
     // worker index, live placements by (workload, worker, target) so a
     // make-before-break migration holds both sides simultaneously.
-    placement_capacity: HashMap<u32, (u64, u64)>,
-    placements: HashMap<(u32, u32, &'static str), (u64, u64)>,
-    live_placements: HashMap<u32, u32>,
-    ever_placed: HashSet<u32>,
-    migrations_in_flight: HashMap<u32, u32>,
+    placement_capacity: FastMap<u32, (u64, u64)>,
+    placements: FastMap<(u32, u32, &'static str), (u64, u64)>,
+    live_placements: FastMap<u32, u32>,
+    ever_placed: FastSet<u32>,
+    migrations_in_flight: FastMap<u32, u32>,
 
     // Fencing and membership (invariants 7–8). Epoch floors are keyed
     // by worker id; fenced spans by component index so `ExecStart`
     // records (attributed by `src`) can be matched against them.
-    lease_epochs: HashMap<u32, u64>,
-    fenced_components: HashMap<usize, u64>,
+    lease_epochs: FastMap<u32, u64>,
+    fenced_components: FastMap<usize, u64>,
 
     // Snapshot conservation (invariant 9).
-    snapshot_seqs: HashSet<u64>,
+    snapshot_seqs: FastSet<u64>,
     last_snapshot_seq: u64,
 
     // Linearizability (invariant 10), engaged only when KV events
     // appear on the stream.
-    kv_pending: HashMap<u64, PendingKvOp>,
-    kv_keys: HashMap<u64, KeyHistory>,
+    kv_pending: FastMap<u64, PendingKvOp>,
+    kv_keys: FastMap<u64, KeyHistory>,
     kv_ops: u64,
     kv_forced_gc: u64,
 
@@ -427,16 +428,16 @@ pub struct InvariantChecker {
     // deposed shard is attributed.
     tier_active: bool,
     tier_epoch: u64,
-    gw_epochs: HashMap<u32, u64>,
-    deposed_gateways: HashMap<u32, u64>,
-    client_outstanding: HashSet<u64>,
-    client_delivered: HashSet<u64>,
+    gw_epochs: FastMap<u32, u64>,
+    deposed_gateways: FastMap<u32, u64>,
+    client_outstanding: FastSet<u64>,
+    client_delivered: FastSet<u64>,
     handed_off: u64,
 
     // Tier-controller snapshot/restore (invariant 15). Kept separate
     // from invariant 9's `snapshot_seqs`: the placement controller and
     // the tier controller number their snapshots independently.
-    tier_snapshot_seqs: HashSet<u64>,
+    tier_snapshot_seqs: FastSet<u64>,
     tier_last_snap_seq: u64,
 }
 
@@ -459,36 +460,36 @@ impl InvariantChecker {
             submitted: 0,
             completed: 0,
             failed: 0,
-            outstanding: HashSet::new(),
-            hedged: HashSet::new(),
+            outstanding: FastSet::default(),
+            hedged: FastSet::default(),
             shed: 0,
-            slots: HashMap::new(),
-            wfq: HashMap::new(),
-            tenant_wfq: HashMap::new(),
-            wfq_lambda_depth: HashMap::new(),
-            tenant_owner: HashMap::new(),
-            request_workload: HashMap::new(),
-            placement_capacity: HashMap::new(),
-            placements: HashMap::new(),
-            live_placements: HashMap::new(),
-            ever_placed: HashSet::new(),
-            migrations_in_flight: HashMap::new(),
-            lease_epochs: HashMap::new(),
-            fenced_components: HashMap::new(),
-            snapshot_seqs: HashSet::new(),
+            slots: FastMap::default(),
+            wfq: FastMap::default(),
+            tenant_wfq: FastMap::default(),
+            wfq_lambda_depth: FastMap::default(),
+            tenant_owner: FastMap::default(),
+            request_workload: FastMap::default(),
+            placement_capacity: FastMap::default(),
+            placements: FastMap::default(),
+            live_placements: FastMap::default(),
+            ever_placed: FastSet::default(),
+            migrations_in_flight: FastMap::default(),
+            lease_epochs: FastMap::default(),
+            fenced_components: FastMap::default(),
+            snapshot_seqs: FastSet::default(),
             last_snapshot_seq: 0,
-            kv_pending: HashMap::new(),
-            kv_keys: HashMap::new(),
+            kv_pending: FastMap::default(),
+            kv_keys: FastMap::default(),
             kv_ops: 0,
             kv_forced_gc: 0,
             tier_active: false,
             tier_epoch: 0,
-            gw_epochs: HashMap::new(),
-            deposed_gateways: HashMap::new(),
-            client_outstanding: HashSet::new(),
-            client_delivered: HashSet::new(),
+            gw_epochs: FastMap::default(),
+            deposed_gateways: FastMap::default(),
+            client_outstanding: FastSet::default(),
+            client_delivered: FastSet::default(),
             handed_off: 0,
-            tier_snapshot_seqs: HashSet::new(),
+            tier_snapshot_seqs: FastSet::default(),
             tier_last_snap_seq: 0,
         }
     }

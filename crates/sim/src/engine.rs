@@ -5,11 +5,18 @@
 //! an event may schedule further events. Runs are fully deterministic given
 //! the RNG seed: ties in delivery time are broken by scheduling order.
 //!
+//! The queue is a two-tier [`EventQueue`]: a small binary heap for events
+//! due in the current ~1 ms time slice and unsorted per-slice buckets for
+//! everything later (mostly retransmission, election and lease timers that
+//! will fire as no-ops), so each event sifts only through its near
+//! neighbours. Pop order is exactly `(time, origin shard, origin
+//! sequence)` either way.
+//!
 //! # Sharded parallel execution
 //!
 //! By default a simulation runs as a single serialized event loop. A
 //! [`ShardPlan`] partitions the components into *shards* — per-rack or
-//! per-worker islands — each with its own event heap, its own send-sequence
+//! per-worker islands — each with its own event queue, its own send-sequence
 //! counter, and its own `SmallRng` stream derived from the master seed.
 //! Shards advance together in conservative rounds (classic null-message-free
 //! barrier PDES): every round processes the window `[T, T + lookahead)`
@@ -34,8 +41,6 @@
 //!   runs unmodified.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -44,6 +49,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::message::{AnyMessage, Message};
+use crate::queue::{EventQueue, Timed};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PendingRecord, TraceEvent, TraceSink, Tracer};
 
@@ -103,7 +109,7 @@ pub trait Component: Any + Send {
 ///
 /// Orders by `(at, src, seq)`: `src` is the shard that issued the send and
 /// `seq` that shard's monotone counter, so keys are unique and the order is
-/// independent of heap insertion interleaving. Unsharded simulations stamp
+/// independent of queue insertion interleaving. Unsharded simulations stamp
 /// `src = 0`, which reduces the key to the legacy `(at, seq)` order.
 struct Scheduled {
     at: SimTime,
@@ -127,6 +133,11 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.src, self.seq).cmp(&(other.at, other.src, other.seq))
+    }
+}
+impl Timed for Scheduled {
+    fn at(&self) -> SimTime {
+        self.at
     }
 }
 
@@ -178,7 +189,7 @@ pub struct Ctx<'a> {
     now: SimTime,
     self_id: ComponentId,
     shard: u32,
-    queue: &'a mut BinaryHeap<Reverse<Scheduled>>,
+    queue: &'a mut EventQueue<Scheduled>,
     seq: &'a mut u64,
     rng: &'a mut SmallRng,
     stop: &'a mut bool,
@@ -220,26 +231,26 @@ impl Ctx<'_> {
         *self.seq += 1;
         let src = self.shard;
         match self.route.as_mut() {
-            None => self.queue.push(Reverse(Scheduled {
+            None => self.queue.push(Scheduled {
                 at: self.now + delay,
                 src,
                 seq,
                 dst,
                 msg,
-            })),
+            }),
             Some(route) => {
                 let dshard = *route
                     .shard_of
                     .get(dst.0)
                     .unwrap_or_else(|| panic!("message addressed to unknown component {dst}"));
                 if dshard == src {
-                    self.queue.push(Reverse(Scheduled {
+                    self.queue.push(Scheduled {
                         at: self.now + delay,
                         src,
                         seq,
                         dst,
                         msg,
-                    }));
+                    });
                 } else {
                     let eff = if delay < route.lookahead {
                         route.lookahead
@@ -362,14 +373,14 @@ impl ShardPlan {
     }
 }
 
-/// One shard: an island of components with a private heap, RNG stream, and
-/// send-sequence counter.
+/// One shard: an island of components with a private event queue, RNG
+/// stream, and send-sequence counter.
 struct Shard {
     id: u32,
     /// Sparse, full-length component table: `components[i]` is `Some` iff
     /// component `i` lives on this shard.
     components: Vec<Option<Box<dyn Component>>>,
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    queue: EventQueue<Scheduled>,
     rng: SmallRng,
     seq: u64,
     now: SimTime,
@@ -394,11 +405,11 @@ impl Shard {
         emit_on: bool,
     ) {
         while !self.stopped {
-            match self.heap.peek() {
-                Some(Reverse(head)) if head.at < end => {}
+            match self.queue.peek_at() {
+                Some(at) if at < end => {}
                 _ => break,
             }
-            let Some(Reverse(ev)) = self.heap.pop() else {
+            let Some(ev) = self.queue.pop() else {
                 break;
             };
             debug_assert!(ev.at >= self.now, "shard event queue went backwards");
@@ -419,7 +430,7 @@ impl Shard {
                     now: self.now,
                     self_id: ev.dst,
                     shard: self.id,
-                    queue: &mut self.heap,
+                    queue: &mut self.queue,
                     seq: &mut self.seq,
                     rng: &mut self.rng,
                     stop: &mut stop,
@@ -442,9 +453,7 @@ impl Shard {
 
     /// Earliest pending event time, as nanoseconds (`u64::MAX` when idle).
     fn next_ns(&self) -> u64 {
-        self.heap
-            .peek()
-            .map_or(u64::MAX, |Reverse(e)| e.at.as_nanos())
+        self.queue.peek_at().map_or(u64::MAX, SimTime::as_nanos)
     }
 }
 
@@ -466,7 +475,7 @@ impl Sharded {
 enum Round {
     /// The round processed a window; more work may remain.
     Ran,
-    /// Every shard heap is empty.
+    /// Every shard queue is empty.
     Drained,
     /// The next event lies beyond the caller's deadline.
     Deadline,
@@ -627,7 +636,7 @@ fn lane_loop(
             }
             if shutdown.load(Ordering::Acquire) && sync.epoch.load(Ordering::Acquire) == epoch {
                 // Deliver any events routed here after our last round so the
-                // heaps are complete when ownership returns to the
+                // queues are complete when ownership returns to the
                 // coordinator.
                 let mut mail = sync.mail.lock().unwrap();
                 for ev in mail.inbound.drain(..) {
@@ -636,8 +645,8 @@ fn lane_loop(
                         .iter_mut()
                         .find(|s| s.id == sid)
                         .expect("event routed to a shard outside its lane")
-                        .heap
-                        .push(Reverse(ev));
+                        .queue
+                        .push(ev);
                 }
                 return shards;
             }
@@ -656,11 +665,11 @@ fn lane_loop(
                 .iter_mut()
                 .find(|s| s.id == sid)
                 .expect("event routed to a shard outside its lane")
-                .heap
-                .push(Reverse(ev));
+                .queue
+                .push(ev);
         }
         for shard in shards.iter_mut() {
-            if shard.heap.peek().is_some_and(|Reverse(e)| e.at < end) {
+            if shard.queue.peek_at().is_some_and(|at| at < end) {
                 shard.run_window(end, shard_of, lookahead, trace_on, emit_on);
             }
             mail.outbox.append(&mut shard.outbox);
@@ -690,7 +699,7 @@ fn lane_loop(
 pub struct Simulation {
     components: Vec<Option<Box<dyn Component>>>,
     names: Vec<String>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: EventQueue<Scheduled>,
     now: SimTime,
     seq: u64,
     seed: u64,
@@ -721,7 +730,7 @@ impl Simulation {
         Simulation {
             components: Vec::new(),
             names: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             seq: 0,
             seed,
@@ -888,7 +897,7 @@ impl Simulation {
     /// Returns the number of events still pending delivery.
     pub fn events_pending(&self) -> usize {
         match &self.sharded {
-            Some(sh) => sh.shards.iter().map(|s| s.heap.len()).sum(),
+            Some(sh) => sh.shards.iter().map(|s| s.queue.len()).sum(),
             None => self.queue.len(),
         }
     }
@@ -911,24 +920,24 @@ impl Simulation {
                 let shard = &mut sh.shards[sid as usize];
                 let seq = shard.seq;
                 shard.seq += 1;
-                shard.heap.push(Reverse(Scheduled {
+                shard.queue.push(Scheduled {
                     at,
                     src: sid,
                     seq,
                     dst,
                     msg,
-                }));
+                });
             }
             None => {
                 let seq = self.seq;
                 self.seq += 1;
-                self.queue.push(Reverse(Scheduled {
+                self.queue.push(Scheduled {
                     at,
                     src: 0,
                     seq,
                     dst,
                     msg,
-                }));
+                });
             }
         }
     }
@@ -981,7 +990,7 @@ impl Simulation {
             .map(|k| Shard {
                 id: k as u32,
                 components: (0..self.components.len()).map(|_| None).collect(),
-                heap: BinaryHeap::new(),
+                queue: EventQueue::new(),
                 rng: SmallRng::seed_from_u64(shard_seed(self.seed, k)),
                 // Continue from the pre-freeze counter so keys never collide
                 // with already-queued `(src = 0, seq)` events.
@@ -999,9 +1008,9 @@ impl Simulation {
                 shards[shard_of[idx] as usize].components[idx] = Some(component);
             }
         }
-        for Reverse(ev) in self.queue.drain() {
+        for ev in self.queue.drain() {
             let sid = shard_of[ev.dst.0] as usize;
-            shards[sid].heap.push(Reverse(ev));
+            shards[sid].queue.push(ev);
         }
         self.sharded = Some(Sharded {
             lookahead: plan.lookahead,
@@ -1031,7 +1040,7 @@ impl Simulation {
 
     /// The serialized (unsharded) engine: pop, dispatch, reinsert.
     fn step_serial(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some(ev) = self.queue.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.now, "event queue went backwards");
@@ -1084,7 +1093,7 @@ impl Simulation {
         let shard_of = std::mem::take(&mut sh.shard_of);
         for shard in sh.shards.iter_mut() {
             shard.stopped = false;
-            if shard.heap.peek().is_some_and(|Reverse(e)| e.at < end) {
+            if shard.queue.peek_at().is_some_and(|at| at < end) {
                 shard.run_window(end, &shard_of, lookahead, trace_on, emit_on);
             }
         }
@@ -1103,7 +1112,7 @@ impl Simulation {
                 end
             );
             let sid = shard_of[ev.dst.0] as usize;
-            sh.shards[sid].heap.push(Reverse(ev));
+            sh.shards[sid].queue.push(ev);
         }
         // Merge shard-buffered trace output in (at, shard, index) order.
         let mut tbuf: Vec<(u32, u32, PendingRecord)> = Vec::new();
@@ -1138,7 +1147,7 @@ impl Simulation {
         }
     }
 
-    /// Runs conservative rounds on a pool of worker lanes until the heaps
+    /// Runs conservative rounds on a pool of worker lanes until the queues
     /// drain, a shard stops the run, or the next window would start past
     /// `cap`. Shard → lane assignment is round-robin by shard id; results
     /// are identical to [`Simulation::round`] by construction.
@@ -1233,7 +1242,7 @@ impl Simulation {
                 let mut lbuf: Vec<(u32, u32, SimTime, String)> = Vec::new();
                 if lane_next[0] < end_ns {
                     for shard in own.iter_mut() {
-                        if shard.heap.peek().is_some_and(|Reverse(e)| e.at < end) {
+                        if shard.queue.peek_at().is_some_and(|at| at < end) {
                             shard.run_window(end, so, lookahead, trace_on, emit_on);
                         }
                         round_out.append(&mut shard.outbox);
@@ -1307,8 +1316,8 @@ impl Simulation {
                         own.iter_mut()
                             .find(|s| s.id as usize == sid)
                             .expect("event routed to a shard outside its lane")
-                            .heap
-                            .push(Reverse(ev));
+                            .queue
+                            .push(ev);
                     } else {
                         lanes_ref[lane - 1].mail.lock().unwrap().inbound.push(ev);
                     }
@@ -1383,8 +1392,8 @@ impl Simulation {
         if self.sharded.is_some() {
             self.run_rounds(Some(deadline));
         } else {
-            while let Some(Reverse(head)) = self.queue.peek() {
-                if head.at > deadline {
+            while let Some(at) = self.queue.peek_at() {
+                if at > deadline {
                     break;
                 }
                 if !self.step_serial() {

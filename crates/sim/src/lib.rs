@@ -3,8 +3,9 @@
 //! The foundation of the λ-NIC reproduction. Every other crate in the
 //! workspace models its hardware or software component on top of this
 //! engine: a nanosecond-resolution virtual clock, a time-ordered event
-//! queue with deterministic tie-breaking, dynamically-typed messages, and
-//! measurement utilities (series, summaries, ECDFs, histograms).
+//! queue with deterministic tie-breaking (see [`queue`]),
+//! dynamically-typed messages, and measurement utilities (series,
+//! summaries, ECDFs, histograms).
 //!
 //! ## Example
 //!
@@ -49,8 +50,10 @@
 pub mod check;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod message;
 pub mod metrics;
+pub mod queue;
 pub mod time;
 pub mod trace;
 

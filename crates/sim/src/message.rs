@@ -4,7 +4,7 @@
 //! knows nothing about, so the engine moves [`Box<dyn Message>`] values and
 //! receivers downcast to the concrete types they understand.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::fmt;
 
 /// A payload deliverable to a [`crate::Component`].
@@ -30,6 +30,14 @@ pub trait Message: Any + fmt::Debug + Send {
     /// Converts the boxed message into [`Box<dyn Any>`] for by-value
     /// downcasting.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
+    /// The [`TypeId`] of the concrete payload, in one virtual call. The
+    /// `downcast*` methods on `dyn Message` check against it, so every
+    /// failing arm of a downcast chain costs exactly one call.
+    ///
+    /// Call it on the payload (`(*boxed).message_type()`): a `Box<dyn
+    /// Message>` is itself a `Message`, and calling through the box names
+    /// the box's type.
+    fn message_type(&self) -> TypeId;
 }
 
 impl<T: Any + fmt::Debug + Send> Message for T {
@@ -39,6 +47,10 @@ impl<T: Any + fmt::Debug + Send> Message for T {
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
+    #[inline]
+    fn message_type(&self) -> TypeId {
+        TypeId::of::<T>()
+    }
 }
 
 /// A boxed, type-erased message.
@@ -46,23 +58,38 @@ pub type AnyMessage = Box<dyn Message>;
 
 impl dyn Message {
     /// Returns a reference to the payload if it is a `T`.
+    #[inline]
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
-        self.as_any().downcast_ref::<T>()
+        if self.is::<T>() {
+            // SAFETY: the payload's concrete type is `T` (checked above; see
+            // `is`), so the data pointer of this fat pointer points at a
+            // valid `T` that lives as long as `self`.
+            Some(unsafe { &*(self as *const dyn Message as *const T) })
+        } else {
+            None
+        }
     }
 
     /// Returns `true` when the payload is a `T`.
+    #[inline]
     pub fn is<T: Any>(&self) -> bool {
-        self.as_any().is::<T>()
+        // The downcasts' unsafe casts rely on this check being truthful. It
+        // is: only sized types coerce to `dyn Message`, and for a sized type
+        // the blanket impl above is the only possible `Message` impl.
+        self.message_type() == TypeId::of::<T>()
     }
 
     /// Recovers the concrete payload, or returns the box unchanged when the
     /// type does not match.
+    #[inline]
     pub fn downcast<T: Any>(self: Box<Self>) -> Result<Box<T>, AnyMessage> {
         if self.is::<T>() {
-            Ok(self
-                .into_any()
-                .downcast::<T>()
-                .expect("type checked by is::<T>()"))
+            let raw = Box::into_raw(self) as *mut T;
+            // SAFETY: the payload's concrete type is `T` (checked above; see
+            // `is`), so the allocation was made by `Box<T>` with `T`'s
+            // layout; dropping the vtable and rebuilding a thin `Box<T>` from
+            // the data pointer hands the allocation back to its owner type.
+            Ok(unsafe { Box::from_raw(raw) })
         } else {
             Err(self)
         }
@@ -100,6 +127,53 @@ mod tests {
         let m = m.downcast::<Pong>().expect_err("not a Pong");
         // The original payload is preserved.
         assert_eq!(m.downcast_ref::<Ping>(), Some(&Ping(9)));
+    }
+
+    /// A zero-sized payload: its box owns no allocation.
+    #[derive(Debug, PartialEq)]
+    struct Marker;
+
+    /// A payload larger than any register, behind a heap buffer.
+    #[derive(Debug, PartialEq)]
+    struct Frame {
+        header: [u64; 16],
+        body: Vec<u8>,
+    }
+
+    fn frame() -> Frame {
+        Frame {
+            header: std::array::from_fn(|i| i as u64 * 3),
+            body: (0..=255).collect(),
+        }
+    }
+
+    #[test]
+    fn downcast_hits_and_misses_on_a_zero_sized_type() {
+        let m: AnyMessage = Box::new(Marker);
+        assert!(m.is::<Marker>());
+        assert_eq!(m.downcast_ref::<Marker>(), Some(&Marker));
+        let m = m.downcast::<Frame>().expect_err("not a Frame");
+        assert_eq!((*m).message_type(), TypeId::of::<Marker>());
+        assert_eq!(*m.downcast::<Marker>().expect("is a Marker"), Marker);
+    }
+
+    #[test]
+    fn downcast_hits_and_misses_on_a_large_boxed_payload() {
+        let m: AnyMessage = Box::new(frame());
+        assert_eq!(m.downcast_ref::<Marker>(), None);
+        let m = m.downcast::<Marker>().expect_err("not a Marker");
+        let m = m.downcast::<Ping>().expect_err("not a Ping");
+        // A miss hands back the intact message.
+        assert_eq!(m.downcast_ref::<Frame>(), Some(&frame()));
+        let f = m.downcast::<Frame>().expect("is a Frame");
+        assert_eq!(*f, frame());
+    }
+
+    #[test]
+    fn message_type_names_the_payload_not_the_box() {
+        let m: AnyMessage = Box::new(Ping(1));
+        assert_eq!((*m).message_type(), TypeId::of::<Ping>());
+        assert_eq!(m.message_type(), TypeId::of::<AnyMessage>());
     }
 
     #[test]
