@@ -1,29 +1,20 @@
-//! Engine throughput: events/sec of the serial vs the sharded parallel
-//! engine on the `kv_replication` healthy cell.
+//! Engine throughput: events/sec of the event loop on the
+//! `kv_replication` healthy cell.
 //!
 //! The cell is the replicated-KV healthy configuration — 3 λ-NIC
 //! workers hosting a raft group, a closed-loop Zipf KV mix through the
-//! gateway — the heaviest steady-state workload in the suite and the
-//! one the equivalence harness pins. Arms:
-//!
-//! - `serial`: the classic single-heap event loop.
-//! - `sharded:1/2/4/8`: the conservative-window engine (hub, switch,
-//!   memcached, and one shard per worker) on 1..8 executor threads.
-//!
-//! Events/sec is `events_processed / wall`, measured over the drive
-//! phase only (testbed construction excluded). The serial and sharded
-//! universes differ slightly in event count (cross-shard zero-delay
-//! control messages are floored to the lookahead), so the rate — not
-//! the raw wall time — is the comparable number. Sharded arms all
-//! process the *identical* schedule, so their ratio is pure executor
-//! speedup. The invariant checker is detached here (its merge-side
-//! scan is serial by construction and would measure the checker, not
-//! the engine); the equivalence suite runs the same cell with the
-//! checker on.
+//! gateway — the heaviest steady-state workload in the suite. Each
+//! repetition builds a fresh testbed on the same seed and drives it to
+//! completion; events/sec is `events_processed / wall` over the drive
+//! phase only (testbed construction excluded), and the reported rate is
+//! the median over repetitions. Every repetition must process the
+//! identical event count, or the run measured two different workloads.
+//! The invariant checker is detached so the number measures the engine
+//! and the components, not the checker.
 //!
 //! Emits `results/BENCH_engine.json`, tracked PR-over-PR. Run with:
 //! `cargo run --release -p lnic-bench --bin engine_throughput`
-//! (`--smoke` shrinks the load and skips the 8-thread arm for CI).
+//! (`--smoke` shrinks the load and runs one repetition for CI).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -49,24 +40,19 @@ struct Load {
     think: SimDuration,
 }
 
-struct Arm {
-    label: String,
-    threads: Option<usize>,
+struct Rep {
     events: u64,
     wall_s: f64,
-    events_per_sec: f64,
     end_ms: f64,
 }
 
-/// Builds the healthy replicated-KV cell on `engine` and drives it to
-/// completion, timing only the drive phase.
-fn run_arm(label: &str, engine: EngineMode, seed: u64, load: &Load) -> Arm {
-    let config = TestbedConfig::new(BackendKind::Nic)
+/// Builds the healthy replicated-KV cell and drives it to completion,
+/// timing only the drive phase.
+fn run_rep(seed: u64, load: &Load) -> Rep {
+    let mut config = TestbedConfig::new(BackendKind::Nic)
         .seed(seed)
         .workers(3)
-        .engine(engine)
         .without_invariant_checks();
-    let mut config = config;
     config.gateway.rpc_timeout = SimDuration::from_millis(50);
     config.gateway.rpc_attempts = 5;
     config.gateway = config.gateway.resilient();
@@ -98,18 +84,9 @@ fn run_arm(label: &str, engine: EngineMode, seed: u64, load: &Load) -> Arm {
             "drive phase exceeded 120 simulated seconds"
         );
     }
-    let wall_s = start.elapsed().as_secs_f64();
-
-    let events = bed.sim.events_processed();
-    Arm {
-        label: label.to_owned(),
-        threads: match engine {
-            EngineMode::Serial => None,
-            EngineMode::Sharded { threads } => Some(threads),
-        },
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s,
+    Rep {
+        events: bed.sim.events_processed(),
+        wall_s: start.elapsed().as_secs_f64(),
         end_ms: bed.sim.now().as_millis_f64(),
     }
 }
@@ -133,76 +110,56 @@ fn commit_id() -> String {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seed = 42 + seed_offset();
-    let load = if smoke {
-        Load {
+    let (load, reps) = if smoke {
+        let load = Load {
             client_threads: 4,
             requests_per_thread: 100,
             think: SimDuration::from_micros(100),
-        }
+        };
+        (load, 1)
     } else {
-        Load {
+        let load = Load {
             client_threads: 16,
             requests_per_thread: 1_500,
             think: SimDuration::from_micros(100),
-        }
+        };
+        (load, 5)
     };
-    let thread_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
-        "engine throughput: kv_replication healthy cell, {} client threads x {} requests, seed {seed}{}",
+        "engine throughput: kv_replication healthy cell, {} client threads x {} requests, \
+         seed {seed}, {reps} repetition(s){}",
         load.client_threads,
         load.requests_per_thread,
         if smoke { " (smoke)" } else { "" }
     );
-    if cores < 4 {
-        println!(
-            "  NOTE: {cores} core(s) available — multi-thread arms are oversubscribed and \
-             measure parking overhead, not parallel speedup"
-        );
-    }
-    println!("  arm         threads   events      wall(s)   events/sec");
-
-    let mut arms = Vec::new();
-    let serial = run_arm("serial", EngineMode::Serial, seed, &load);
-    for arm in std::iter::once(serial).chain(thread_counts.iter().map(|&t| {
-        run_arm(
-            &format!("sharded:{t}"),
-            EngineMode::Sharded { threads: t },
-            seed,
-            &load,
-        )
-    })) {
-        println!(
-            "  {:<10}  {:>7}  {:>9}  {:>8.3}  {:>11.0}",
-            arm.label,
-            arm.threads.map_or("-".to_owned(), |t| t.to_string()),
-            arm.events,
-            arm.wall_s,
-            arm.events_per_sec
-        );
-        arms.push(arm);
-    }
-
-    // Sharded arms replay the identical schedule: event counts must
-    // agree exactly or the run measured two different workloads.
-    let sharded: Vec<&Arm> = arms.iter().filter(|a| a.threads.is_some()).collect();
-    for pair in sharded.windows(2) {
+    println!("  rep   events      wall(s)   events/sec");
+    let runs: Vec<Rep> = (0..reps)
+        .map(|i| {
+            let rep = run_rep(seed, &load);
+            println!(
+                "  {:>3}  {:>9}  {:>8.3}  {:>11.0}",
+                i + 1,
+                rep.events,
+                rep.wall_s,
+                rep.events as f64 / rep.wall_s
+            );
+            rep
+        })
+        .collect();
+    for rep in &runs[1..] {
         assert_eq!(
-            pair[0].events, pair[1].events,
-            "sharded arms diverged: {} vs {}",
-            pair[0].label, pair[1].label
+            rep.events, runs[0].events,
+            "repetitions diverged: the same seed must process the same events"
         );
     }
-
-    let serial_rate = arms[0].events_per_sec;
-    let speedup_4t = sharded
-        .iter()
-        .find(|a| a.threads == Some(4))
-        .map(|a| a.events_per_sec / serial_rate);
-    if let Some(s) = speedup_4t {
-        println!("  speedup at 4 threads vs serial: {s:.2}x");
-    }
+    let mut walls: Vec<f64> = runs.iter().map(|r| r.wall_s).collect();
+    walls.sort_by(f64::total_cmp);
+    let wall_median = walls[walls.len() / 2];
+    let events = runs[0].events;
+    let events_per_sec = events as f64 / wall_median;
+    println!("  median: {wall_median:.3} s, {events_per_sec:.0} events/sec");
 
     let mut json = String::new();
     json.push_str("{\n  \"experiment\": \"engine_throughput\",\n");
@@ -219,25 +176,16 @@ fn main() {
     let _ = writeln!(json, "  \"available_parallelism\": {cores},");
     let _ = writeln!(
         json,
-        "  \"speedup_4t_vs_serial\": {},",
-        speedup_4t.map_or("null".to_owned(), |s| format!("{s:.3}"))
+        "  \"events\": {events}, \"sim_end_ms\": {:.3},",
+        runs[0].end_ms
     );
-    json.push_str("  \"arms\": [\n");
-    for (i, a) in arms.iter().enumerate() {
-        let comma = if i + 1 == arms.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"arm\": \"{}\", \"threads\": {}, \"events\": {}, \"wall_s\": {:.4}, \
-             \"events_per_sec\": {:.0}, \"sim_end_ms\": {:.3}}}{comma}",
-            a.label,
-            a.threads.map_or("null".to_owned(), |t| t.to_string()),
-            a.events,
-            a.wall_s,
-            a.events_per_sec,
-            a.end_ms
-        );
-    }
-    json.push_str("  ]\n}\n");
+    let reps_wall: Vec<String> = runs.iter().map(|r| format!("{:.4}", r.wall_s)).collect();
+    let _ = writeln!(json, "  \"reps_wall_s\": [{}],", reps_wall.join(", "));
+    let _ = writeln!(
+        json,
+        "  \"wall_s_median\": {wall_median:.4}, \"events_per_sec\": {events_per_sec:.0}"
+    );
+    json.push_str("}\n");
 
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_engine.json", json).expect("write bench json");

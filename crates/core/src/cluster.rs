@@ -23,66 +23,6 @@ use crate::repkv::{RepKvReplica, StartReplica};
 /// The logical service id workers use to reach the memcached server.
 pub use lnic_workloads::kv::KV_SERVICE;
 
-/// Which event-loop the testbed's simulation runs on.
-///
-/// `Serial` is the classic single-heap engine; `Sharded` partitions the
-/// testbed spatially — hub (gateway, controllers, drivers), switch,
-/// memcached, and one shard per worker node — and advances the shards in
-/// conservative lookahead windows, optionally on multiple OS threads.
-/// Results of a sharded run are a function of the shard layout only, never
-/// of the thread count; see `lnic_sim::engine` for the determinism
-/// argument.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Single serialized event loop (the historical default; pinned
-    /// golden hashes in `tests/goldens/trace_hashes.txt` and
-    /// `kv_replication_hashes.txt` are recorded in this mode).
-    Serial,
-    /// Spatially sharded conservative-parallel engine on `threads` OS
-    /// threads. `threads: 1` executes the identical schedule
-    /// sequentially — the reference for the equivalence suite.
-    Sharded {
-        /// OS threads for the round executor (clamped to at least 1).
-        threads: usize,
-    },
-}
-
-impl EngineMode {
-    /// Reads the engine mode from `LNIC_ENGINE`: `serial` (or unset) for
-    /// the serialized loop, `sharded` for the sharded engine on one
-    /// thread, `sharded:N` for N threads. Unrecognized values fall back
-    /// to `Serial` so stray environments never change results silently.
-    pub fn from_env() -> Self {
-        match std::env::var("LNIC_ENGINE") {
-            Ok(v) => Self::parse(&v).unwrap_or(EngineMode::Serial),
-            Err(_) => EngineMode::Serial,
-        }
-    }
-
-    /// Parses `serial`, `sharded`, or `sharded:N`.
-    pub fn parse(v: &str) -> Option<Self> {
-        let v = v.trim();
-        if v.eq_ignore_ascii_case("serial") {
-            return Some(EngineMode::Serial);
-        }
-        if v.eq_ignore_ascii_case("sharded") {
-            return Some(EngineMode::Sharded { threads: 1 });
-        }
-        let rest = v
-            .strip_prefix("sharded:")
-            .or_else(|| v.strip_prefix("SHARDED:"))?;
-        let threads: usize = rest.parse().ok()?;
-        Some(EngineMode::Sharded {
-            threads: threads.max(1),
-        })
-    }
-
-    /// Whether this mode runs the serialized legacy loop.
-    pub fn is_serial(self) -> bool {
-        matches!(self, EngineMode::Serial)
-    }
-}
-
 /// Testbed configuration.
 #[derive(Clone, Debug)]
 pub struct TestbedConfig {
@@ -115,11 +55,6 @@ pub struct TestbedConfig {
     /// run-to-completion, WFQ weight bounds, memory cost consistency —
     /// so every test run doubles as a correctness gate.
     pub check_invariants: bool,
-    /// Which simulation engine to run on (default: `LNIC_ENGINE` env
-    /// var, falling back to [`EngineMode::Serial`]). One knob flips
-    /// every test and bench between the serialized and the sharded
-    /// parallel engine.
-    pub engine: EngineMode,
 }
 
 impl TestbedConfig {
@@ -137,7 +72,6 @@ impl TestbedConfig {
             control_plane: false,
             hybrid: false,
             check_invariants: true,
-            engine: EngineMode::from_env(),
         }
     }
 
@@ -175,13 +109,6 @@ impl TestbedConfig {
     /// zero tracing overhead).
     pub fn without_invariant_checks(mut self) -> Self {
         self.check_invariants = false;
-        self
-    }
-
-    /// Selects the simulation engine, overriding the `LNIC_ENGINE`
-    /// environment default.
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -256,10 +183,6 @@ pub struct Testbed {
     /// `(workload, worker index)` placements registered at setup, the
     /// home map handed to the failover controller.
     placements: Vec<(u32, usize)>,
-    /// Engine mode the testbed was built with; late-added components
-    /// (failover controllers, replicas) consult it to join the right
-    /// shard.
-    pub engine: EngineMode,
 }
 
 /// MAC/IP plan: gateway is node 1, the kv server node 9, workers node
@@ -331,16 +254,9 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
     let mut worker_hosts = Vec::with_capacity(config.workers);
     let mut links = vec![gw_uplink, gw_port, kv_uplink, kv_port];
     let mut host_links = Vec::new();
-    // Per-worker component islands for the sharded engine: everything on a
-    // worker node (uplink, NIC, switch port, hybrid host and its uplink)
-    // shares one shard, so PCIe hops and NIC-to-uplink handoffs stay
-    // intra-shard and only switch traffic crosses the boundary.
-    let mut worker_members: Vec<Vec<ComponentId>> = Vec::with_capacity(config.workers);
     for i in 0..config.workers {
         let (mac, addr) = worker_identity(i);
-        let mut members = Vec::new();
         let uplink = sim.add(Link::new(switch, config.link));
-        members.push(uplink);
         let component = match config.backend {
             BackendKind::Nic => {
                 let mut nic = Nic::new(config.nic.clone(), mac, addr.ip, uplink)
@@ -350,7 +266,6 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
                     // the switch for responses.
                     let host_uplink = sim.add(Link::new(switch, config.link));
                     host_links.push(host_uplink);
-                    members.push(host_uplink);
                     let host = sim.add(
                         HostBackend::new(
                             HostParams::bare_metal(config.worker_threads),
@@ -360,7 +275,6 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
                         )
                         .with_service(KV_SERVICE, kv_endpoint_host),
                     );
-                    members.push(host);
                     nic = nic.with_host(host);
                     worker_hosts.push(Some(host));
                 } else {
@@ -393,9 +307,7 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
                 )
             }
         };
-        members.push(component);
         let port = sim.add(Link::new(component, config.link));
-        members.push(port);
         sim.get_mut::<Switch>(switch)
             .expect("switch exists")
             .connect(mac, port);
@@ -406,7 +318,6 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
             mac,
             addr,
         });
-        worker_members.push(members);
     }
     links.extend(host_links);
 
@@ -436,34 +347,6 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
         (Vec::new(), None)
     };
 
-    // Sharded engine: spatial partition of the testbed. Shard 0 is the
-    // hub (gateway, its links, the Raft control plane, and every
-    // later-added driver or controller — unassigned components default
-    // there), shard 1 the switch, shard 2 the memcached island, and
-    // shard 3+i worker node i. The lookahead is the smallest latency any
-    // cross-shard hop can have: every inter-shard edge either traverses
-    // a link (≥ propagation) or the switch (≥ forwarding latency);
-    // zero-delay control messages that cross shards are floored to the
-    // lookahead by the engine.
-    if let EngineMode::Sharded { threads } = config.engine {
-        let lookahead = config
-            .link
-            .propagation
-            .min(config.switch.forwarding_latency);
-        let mut plan = ShardPlan::new(3 + config.workers, lookahead);
-        plan.assign(switch, 1);
-        for id in [kv_uplink, kv_server, kv_port] {
-            plan.assign(id, 2);
-        }
-        for (i, members) in worker_members.iter().enumerate() {
-            for &id in members {
-                plan.assign(id, 3 + i);
-            }
-        }
-        sim.set_shard_plan(plan);
-        sim.set_threads(threads.max(1));
-    }
-
     Testbed {
         sim,
         backend: config.backend,
@@ -482,7 +365,6 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
         failover: None,
         repkv_replicas: Vec::new(),
         placements: Vec::new(),
-        engine: config.engine,
     }
 }
 
@@ -1056,11 +938,6 @@ impl Testbed {
                 nic,
                 cfg,
             ));
-            if !self.engine.is_serial() {
-                // Co-shard the replica with its hosting NIC so the
-                // resident-service fast path stays intra-shard.
-                self.sim.assign_shard(replica, 3 + i);
-            }
             self.sim
                 .get_mut::<Nic>(nic)
                 .expect("worker is a NIC")
@@ -1168,9 +1045,6 @@ impl Testbed {
                     .add_gateway(shard_id);
             }
         }
-        // Tier components live on the hub shard (0) under the sharded
-        // engine — unassigned components default there, alongside the
-        // primary gateway and the drivers.
         let members: Vec<u32> = (0..self.gateways.len() as u32).collect();
         let map = Arc::new(ShardMap::new(1, &members, cfg.vnodes));
         let router = self.sim.add(ShardRouter::new(

@@ -69,8 +69,8 @@ impl fmt::Display for GatewayId {
 /// The ring hash: a splitmix64 finalizer — full avalanche even on the
 /// structured keys the ring feeds it (small gateway ids, small vnode
 /// indices, dense client ids). Stability matters: routing must be a
-/// pure function of (map, client), identical across runs, platforms,
-/// and engine modes, so this is written out rather than taken from a
+/// pure function of (map, client), identical across runs and
+/// platforms, so this is written out rather than taken from a
 /// hasher whose output could drift.
 fn ring_hash(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -65,7 +65,7 @@ pub use admission::{Admission, AdmissionParams, TokenBucket};
 pub use autoscaler::{
     Autoscaler, AutoscalerConfig, PlacementProposal, ScaleDirection, ScaleEvent, StartAutoscaler,
 };
-pub use cluster::{build_testbed, seed_offset, EngineMode, Testbed, TestbedConfig, Worker};
+pub use cluster::{build_testbed, seed_offset, Testbed, TestbedConfig, Worker};
 pub use deploy::{BackendKind, DeployParams};
 pub use driver::{
     ClosedLoopDriver, CompletedRequest, JobSpec, OpenLoopDriver, PayloadSpec, StartDriver,
@@ -89,7 +89,7 @@ pub use repkv::{RepKvCounters, RepKvReplica, StartReplica};
 /// Convenience re-exports for experiment authors.
 pub mod prelude {
     pub use crate::admission::AdmissionParams;
-    pub use crate::cluster::{build_testbed, seed_offset, EngineMode, Testbed, TestbedConfig};
+    pub use crate::cluster::{build_testbed, seed_offset, Testbed, TestbedConfig};
     pub use crate::deploy::{BackendKind, DeployParams};
     pub use crate::driver::{ClosedLoopDriver, JobSpec, OpenLoopDriver, PayloadSpec, StartDriver};
     pub use crate::failover::{FailoverConfig, FailoverController, StartFailover};

@@ -1131,7 +1131,6 @@ impl Component for HostBackend {
             Ok(slow) => {
                 self.slow_until = self.slow_until.max(ctx.now() + slow.duration);
                 self.slow_factor = slow.factor.max(1.0);
-                ctx.trace(|| format!("host slowdown x{} for {:?}", slow.factor, slow.duration));
                 ctx.emit(|| TraceEvent::Fault {
                     kind: "slowdown",
                     detail: (slow.factor * 1000.0) as u64,

@@ -185,7 +185,6 @@ impl Component for Link {
         let msg = match msg.downcast::<lnic_sim::fault::LinkDown>() {
             Ok(flap) => {
                 self.down_until = self.down_until.max(ctx.now() + flap.0);
-                ctx.trace(|| format!("link down for {:?}", flap.0));
                 return;
             }
             Err(other) => other,
@@ -202,12 +201,6 @@ impl Component for Link {
             Ok(r) => {
                 self.reorder_until = self.reorder_until.max(ctx.now() + r.duration);
                 self.reorder_spread = r.spread;
-                ctx.trace(|| {
-                    format!(
-                        "link reordering for {:?} (spread {:?})",
-                        r.duration, r.spread
-                    )
-                });
                 return;
             }
             Err(other) => other,
@@ -216,7 +209,6 @@ impl Component for Link {
             Ok(d) => {
                 self.dup_until = self.dup_until.max(ctx.now() + d.duration);
                 self.dup_prob = d.prob;
-                ctx.trace(|| format!("link duplicating for {:?} (p={})", d.duration, d.prob));
                 return;
             }
             Err(other) => other,
@@ -225,7 +217,6 @@ impl Component for Link {
             Ok(c) => {
                 self.corrupt_until = self.corrupt_until.max(ctx.now() + c.duration);
                 self.corrupt_prob = c.prob;
-                ctx.trace(|| format!("link corrupting for {:?} (p={})", c.duration, c.prob));
                 return;
             }
             Err(other) => other,
@@ -267,7 +258,6 @@ impl Component for Link {
         }
         if self.queued_bytes + bytes > self.params.queue_capacity_bytes {
             self.dropped.incr();
-            ctx.trace(|| format!("link drop ({} queued bytes)", self.queued_bytes));
             ctx.emit(|| TraceEvent::LinkDrop {
                 bytes: bytes as u64,
                 reason: "overflow",

@@ -72,7 +72,6 @@ impl Component for Switch {
             }
             None => {
                 self.unroutable.incr();
-                ctx.trace(|| format!("switch: no route for {}", packet.eth.dst));
                 ctx.emit(|| TraceEvent::SwitchDrop { bytes });
             }
         }

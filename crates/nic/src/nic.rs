@@ -646,7 +646,6 @@ impl Nic {
         self.counters.crashes += 1;
         let in_flight = self.busy_threads() + self.queue.len();
         self.counters.jobs_lost += in_flight as u64;
-        ctx.trace(|| format!("nic crash, {in_flight} jobs lost"));
         ctx.emit(|| TraceEvent::Fault {
             kind: "crash",
             detail: in_flight as u64,
@@ -1468,7 +1467,6 @@ impl Component for Nic {
             Ok(slow) => {
                 self.slow_until = self.slow_until.max(ctx.now() + slow.duration);
                 self.slow_factor = slow.factor.max(1.0);
-                ctx.trace(|| format!("nic slowdown x{} for {:?}", slow.factor, slow.duration));
                 ctx.emit(|| TraceEvent::Fault {
                     kind: "slowdown",
                     detail: (slow.factor * 1000.0) as u64,

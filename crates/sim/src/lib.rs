@@ -58,7 +58,7 @@ pub mod time;
 pub mod trace;
 
 pub use check::InvariantChecker;
-pub use engine::{Component, ComponentId, Ctx, ShardPlan, Simulation};
+pub use engine::{Component, ComponentId, Ctx, Simulation};
 pub use fault::{FaultEvent, FaultPlan, TimedFault};
 pub use message::{AnyMessage, Message};
 pub use metrics::{Counter, Ecdf, LogHistogram, Series, Summary};
@@ -68,7 +68,7 @@ pub use trace::{HashSink, JsonlSink, RingSink, TraceEvent, TraceRecord, TraceSin
 /// Convenience re-exports for component authors.
 pub mod prelude {
     pub use crate::check::InvariantChecker;
-    pub use crate::engine::{Component, ComponentId, Ctx, ShardPlan, Simulation};
+    pub use crate::engine::{Component, ComponentId, Ctx, Simulation};
     pub use crate::fault::{FaultEvent, FaultPlan, TimedFault};
     pub use crate::message::{AnyMessage, Message};
     pub use crate::metrics::{Counter, Ecdf, LogHistogram, Series, Summary};

@@ -15,7 +15,7 @@
 //! to that bucket's end. Every near event is earlier than the horizon and
 //! every far event is at or past it, so the near heap's minimum is always
 //! the global minimum and pop order is exactly the entries' [`Ord`] — for
-//! the engine, `(at, src, seq)` — whatever the push interleaving.
+//! the engine, `(at, seq)` — whatever the push interleaving.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};

@@ -40,9 +40,7 @@ impl SimTime {
     /// The origin of the simulated timeline.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The end of representable time. The sharded engine uses this as
-    /// the "no pending event" sentinel when merging per-shard clocks,
-    /// so no real event may ever be scheduled at it.
+    /// The end of representable time.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from nanoseconds since the simulation start.

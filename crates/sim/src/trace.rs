@@ -1089,24 +1089,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// A trace record captured on a shard of the parallel engine before the
-/// global sequence number has been stamped.
-///
-/// Sharded runs buffer emissions per shard during each conservative round
-/// and hand the buffers to [`Tracer::record_merged`] at the round barrier,
-/// which stamps `seq` in the deterministic merged order. The serialized
-/// engine stamps inline through [`Tracer::record`] instead and never builds
-/// these.
-#[derive(Debug)]
-pub struct PendingRecord {
-    /// Virtual time of emission.
-    pub at: SimTime,
-    /// The component that emitted the event.
-    pub src: ComponentId,
-    /// The event payload.
-    pub event: TraceEvent,
-}
-
 /// A consumer of the trace stream.
 ///
 /// Sinks run inline on the emit path, so `on_record` should stay cheap.
@@ -1171,22 +1153,6 @@ impl Tracer {
         self.next_seq += 1;
         for sink in &mut self.sinks {
             sink.on_record(&rec);
-        }
-    }
-
-    /// Stamps and fans out one round of shard-buffered records in the
-    /// deterministic merge order: `(timestamp, shard, emission index)`.
-    ///
-    /// Each entry is `(shard, index-within-that-shard's-buffer, record)`.
-    /// Within a shard the indices follow processing order (timestamps
-    /// non-decreasing), so the merged stream is globally time-monotone and
-    /// identical for every thread count that executes the same shard plan —
-    /// this is what keeps FNV trace hashes byte-stable between serial and
-    /// parallel runs.
-    pub fn record_merged(&mut self, mut batch: Vec<(u32, u32, PendingRecord)>) {
-        batch.sort_by_key(|&(shard, idx, ref rec)| (rec.at, shard, idx));
-        for (_, _, rec) in batch {
-            self.record(rec.at, rec.src, rec.event);
         }
     }
 

@@ -3,7 +3,9 @@
 //! Every scenario runs the queue side by side with the obvious reference,
 //! a `BinaryHeap<Reverse<(at, src, seq)>>`, and requires the two to agree
 //! on every pop, every peek and every length, so the near-heap/far-bucket
-//! split can never change the engine's `(at, src, seq)` delivery order.
+//! split can never change the delivery order of a key that sorts by time
+//! first. The model's key carries two tie-breakers; the engine's is
+//! `(at, seq)`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -212,8 +214,7 @@ fn drain_returns_every_entry_across_both_tiers() {
     assert_eq!(pair.queue.len(), 0);
     assert!(pair.queue.is_empty());
     assert_eq!(pair.queue.peek_at(), None);
-    // The drained queue is reusable, like the engine's serial queue after
-    // a shard plan freezes.
+    // The drained queue is reusable.
     for _ in 0..200 {
         let at = draw_at(&mut rng, now);
         pair.push(at, 0);

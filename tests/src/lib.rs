@@ -1,14 +1,10 @@
-//! Shared helpers for the integration suite: the engine-mode knob,
-//! testbed-construction boilerplate, golden-hash file IO, and
-//! divergence artifacts for CI.
+//! Shared helpers for the integration suite: testbed-construction
+//! boilerplate and golden-hash file IO.
 //!
-//! Every testbed built through [`TestbedConfig::new`] already honours
-//! `LNIC_ENGINE` (serial / sharded / sharded:N), so the whole suite
-//! flips engines with one environment variable. The helpers here close
-//! the remaining gaps: guarding pinned *serial* goldens when the suite
-//! runs elsewhere, deduplicating the resilient-gateway config and
-//! driver spawn blocks, and giving the equivalence suite one place to
-//! read, pin, and diff golden hashes.
+//! The helpers guard pinned goldens when a CI seed sweep moves every
+//! seed, deduplicate the resilient-gateway config and driver spawn
+//! blocks, and give the golden suites one place to read and pin golden
+//! hashes.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -17,22 +13,11 @@ use std::sync::Arc;
 use lnic::prelude::*;
 use lnic_sim::prelude::*;
 
-/// The engine the suite is running on, from `LNIC_ENGINE`. This is the
-/// mode [`TestbedConfig::new`] will build with — the single knob the
-/// issue asks for.
-pub fn engine_mode() -> EngineMode {
-    EngineMode::from_env()
-}
-
-/// Whether checks against *pinned serial* golden hashes are meaningful
-/// in this environment. They are not when a CI seed sweep moved every
-/// seed (`LNIC_SEED_OFFSET != 0`) or when the suite runs on the sharded
-/// engine (`LNIC_ENGINE`), whose traces are a different — separately
-/// pinned — deterministic universe (zero-delay cross-shard control
-/// messages are floored to the lookahead, so timings differ from the
-/// serial schedule).
-pub fn serial_golden_checks_enabled() -> bool {
-    seed_offset() == 0 && engine_mode().is_serial()
+/// Whether checks against *pinned* golden hashes are meaningful in this
+/// environment. They are not when a CI seed sweep moved every seed
+/// (`LNIC_SEED_OFFSET != 0`).
+pub fn golden_checks_enabled() -> bool {
+    seed_offset() == 0
 }
 
 /// The resilient NIC testbed used by every chaos/failover scenario:
@@ -84,8 +69,8 @@ pub fn spawn_closed_loop(
     driver
 }
 
-/// Golden-hash file IO shared by `trace_golden`, `kv_replication`, and
-/// `engine_equivalence`. Files live under `tests/goldens/` as
+/// Golden-hash file IO shared by `trace_golden`, `kv_replication`,
+/// `gateway_tier` and `disaster_recovery`. Files live under `tests/goldens/` as
 /// `name 0x<fnv1a>` lines; `UPDATE_GOLDENS=1` re-pins.
 pub mod goldens {
     use super::*;
@@ -147,17 +132,4 @@ pub mod goldens {
         std::fs::create_dir_all(p.parent().unwrap()).unwrap();
         std::fs::write(&p, out).unwrap();
     }
-}
-
-/// Directory for diverging-trace artifacts (JSONL pairs uploaded by
-/// CI on golden-hash mismatch): `LNIC_DIVERGENCE_DIR` when set, else
-/// `target/divergence/` of the workspace.
-pub fn divergence_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("LNIC_DIVERGENCE_DIR") {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("target")
-        .join("divergence")
 }

@@ -16,19 +16,15 @@
 //! intentional changes with `UPDATE_GOLDENS=1`). The nightly soak job
 //! stretches every horizon via `LNIC_SOAK_FACTOR`.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use lnic::failover::FailoverConfig;
 use lnic::gateway::Gateway;
 use lnic::gwtier::{DrainShard, ShardMap, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_integration::{
-    divergence_dir, goldens, page_jobs, resilient_nic_config, serial_golden_checks_enabled,
-};
+use lnic_integration::{golden_checks_enabled, goldens, page_jobs, resilient_nic_config};
 use lnic_sim::fault::FaultPlan;
 use lnic_sim::prelude::*;
-use lnic_sim::trace::JsonlSink;
 use lnic_workloads::three_web_servers;
 
 const THREADS: usize = 8;
@@ -103,22 +99,13 @@ struct RunResult {
     final_epoch: u64,
 }
 
-fn tier_run(
-    seed: u64,
-    scenario: Scenario,
-    engine: EngineMode,
-    jsonl: Option<PathBuf>,
-) -> RunResult {
+fn tier_run(seed: u64, scenario: Scenario) -> RunResult {
     let factor = soak_factor();
-    let config = resilient_nic_config(seed, 3).engine(engine);
+    let config = resilient_nic_config(seed, 3);
     let gw_params = config.gateway.clone();
     let link = config.link;
     let mut bed = build_testbed(config);
     bed.sim.add_trace_sink(Box::new(HashSink::new()));
-    if let Some(path) = jsonl {
-        bed.sim
-            .add_trace_sink(Box::new(JsonlSink::create(path).expect("jsonl artifact")));
-    }
     let program = Arc::new(three_web_servers());
     bed.preload(&program);
     let (router, controller) =
@@ -233,13 +220,9 @@ fn tier_run(
     }
 }
 
-fn serial(seed: u64, scenario: Scenario) -> RunResult {
-    tier_run(seed, scenario, EngineMode::Serial, None)
-}
-
 #[test]
 fn restart_storm_recovers_by_readoption_not_deposition() {
-    let r = serial(42, Scenario::RestartStorm);
+    let r = tier_run(42, Scenario::RestartStorm);
     let budget = THREADS as u64 * REQUESTS_PER_THREAD * soak_factor();
     assert_eq!(r.completed, budget);
     assert_eq!(r.driver_failed, 0, "a restart storm must not fail a client");
@@ -264,7 +247,7 @@ fn restart_storm_recovers_by_readoption_not_deposition() {
 
 #[test]
 fn rack_loss_recovers_the_shard_and_its_worker() {
-    let r = serial(42, Scenario::RackLoss);
+    let r = tier_run(42, Scenario::RackLoss);
     let budget = THREADS as u64 * REQUESTS_PER_THREAD * soak_factor();
     assert_eq!(r.completed, budget);
     assert_eq!(r.driver_failed, 0, "rack loss must not fail a client");
@@ -279,7 +262,7 @@ fn rack_loss_recovers_the_shard_and_its_worker() {
 
 #[test]
 fn controller_and_shard_co_crash_recovers_past_the_restore() {
-    let r = serial(42, Scenario::CtrlCoCrash);
+    let r = tier_run(42, Scenario::CtrlCoCrash);
     let budget = THREADS as u64 * REQUESTS_PER_THREAD * soak_factor();
     assert_eq!(r.completed, budget);
     assert_eq!(r.driver_failed, 0, "a co-crash must not fail a client");
@@ -300,7 +283,7 @@ fn controller_and_shard_co_crash_recovers_past_the_restore() {
 
 #[test]
 fn controller_restore_is_client_invisible() {
-    let r = serial(42, Scenario::CtrlRestore);
+    let r = tier_run(42, Scenario::CtrlRestore);
     let budget = THREADS as u64 * REQUESTS_PER_THREAD * soak_factor();
     assert_eq!(r.completed, budget);
     assert_eq!(r.driver_failed, 0);
@@ -545,8 +528,8 @@ fn partitioned_tier_stays_under_the_global_admission_budget() {
 
 #[test]
 fn disaster_traces_are_deterministic_across_runs() {
-    let a = serial(42, Scenario::CtrlCoCrash).hash;
-    let b = serial(42, Scenario::CtrlCoCrash).hash;
+    let a = tier_run(42, Scenario::CtrlCoCrash).hash;
+    let b = tier_run(42, Scenario::CtrlCoCrash).hash;
     assert_eq!(a, b, "same seed, same scenario, different trace");
 }
 
@@ -569,14 +552,14 @@ const GOLDENS_FILE: &str = "disaster_hashes.txt";
 /// ```
 #[test]
 fn disaster_trace_hashes_match_pinned_goldens() {
-    if !serial_golden_checks_enabled() || soak_factor() != 1 {
-        eprintln!("skipping pinned serial-golden check (seed offset, engine, or soak)");
+    if !golden_checks_enabled() || soak_factor() != 1 {
+        eprintln!("skipping pinned golden check (seed offset or soak)");
         return;
     }
     if goldens::update_requested() {
         let cases: Vec<(String, u64)> = golden_cases()
             .into_iter()
-            .map(|(name, scenario)| (name.to_owned(), serial(42, scenario).hash))
+            .map(|(name, scenario)| (name.to_owned(), tier_run(42, scenario).hash))
             .collect();
         goldens::write(
             GOLDENS_FILE,
@@ -591,51 +574,11 @@ fn disaster_trace_hashes_match_pinned_goldens() {
         let expect = *goldens
             .get(name)
             .unwrap_or_else(|| panic!("golden `{name}` missing from disaster_hashes.txt"));
-        let got = serial(42, scenario).hash;
+        let got = tier_run(42, scenario).hash;
         assert_eq!(
             got, expect,
             "golden `{name}` drifted: got {got:#018x}, pinned {expect:#018x} \
              (if intentional, re-pin with UPDATE_GOLDENS=1)"
-        );
-    }
-}
-
-/// The sharded engine must reproduce a co-crash drill bit-for-bit at
-/// 2/4/8 threads. On divergence the two runs are dumped as JSONL.
-#[test]
-fn disaster_is_thread_count_invariant_on_the_sharded_engine() {
-    let scenario = Scenario::CtrlCoCrash;
-    let reference = tier_run(42, scenario, EngineMode::Sharded { threads: 1 }, None);
-    for &threads in &[2usize, 4, 8] {
-        let got = tier_run(42, scenario, EngineMode::Sharded { threads }, None);
-        if got.hash != reference.hash {
-            let dir = divergence_dir();
-            std::fs::create_dir_all(&dir).expect("divergence dir");
-            let a = dir.join(format!("{}-t1.jsonl", scenario.name()));
-            let b = dir.join(format!("{}-t{}.jsonl", scenario.name(), threads));
-            tier_run(
-                42,
-                scenario,
-                EngineMode::Sharded { threads: 1 },
-                Some(a.clone()),
-            );
-            tier_run(
-                42,
-                scenario,
-                EngineMode::Sharded { threads },
-                Some(b.clone()),
-            );
-            panic!(
-                "`{}` diverged between 1 and {} threads; diverging traces at {} and {}",
-                scenario.name(),
-                threads,
-                a.display(),
-                b.display(),
-            );
-        }
-        assert_eq!(
-            got, reference,
-            "final metrics diverged at {threads} threads despite equal hashes"
         );
     }
 }

@@ -13,22 +13,16 @@
 //! visibly suppressed at the router.
 //!
 //! The trace stream is pinned (`goldens/gateway_tier_hashes.txt`,
-//! re-pin intentional changes with `UPDATE_GOLDENS=1`), and the
-//! sharded engine must reproduce the tier bit-for-bit at 2/4/8
-//! threads.
+//! re-pin intentional changes with `UPDATE_GOLDENS=1`).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use lnic::gateway::Gateway;
 use lnic::gwtier::{DrainShard, PlanetDriver, ShardMap, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_integration::{
-    divergence_dir, goldens, page_jobs, resilient_nic_config, serial_golden_checks_enabled,
-};
+use lnic_integration::{golden_checks_enabled, goldens, page_jobs, resilient_nic_config};
 use lnic_sim::fault::FaultPlan;
 use lnic_sim::prelude::*;
-use lnic_sim::trace::JsonlSink;
 use lnic_workloads::planet::{FlashCrowd, PlanetModel};
 use lnic_workloads::three_web_servers;
 
@@ -98,21 +92,12 @@ struct RunResult {
     final_epoch: u64,
 }
 
-fn tier_run(
-    seed: u64,
-    scenario: Scenario,
-    engine: EngineMode,
-    jsonl: Option<PathBuf>,
-) -> RunResult {
-    let config = resilient_nic_config(seed, 3).engine(engine);
+fn tier_run(seed: u64, scenario: Scenario) -> RunResult {
+    let config = resilient_nic_config(seed, 3);
     let gw_params = config.gateway.clone();
     let link = config.link;
     let mut bed = build_testbed(config);
     bed.sim.add_trace_sink(Box::new(HashSink::new()));
-    if let Some(path) = jsonl {
-        bed.sim
-            .add_trace_sink(Box::new(JsonlSink::create(path).expect("jsonl artifact")));
-    }
     let program = Arc::new(three_web_servers());
     bed.preload(&program);
     let (router, controller) =
@@ -261,13 +246,9 @@ fn tier_run(
     }
 }
 
-fn serial(seed: u64, scenario: Scenario) -> RunResult {
-    tier_run(seed, scenario, EngineMode::Serial, None)
-}
-
 #[test]
 fn healthy_tier_is_invisible() {
-    let r = serial(42, Scenario::Healthy);
+    let r = tier_run(42, Scenario::Healthy);
     assert_eq!(r.completed, THREADS as u64 * REQUESTS_PER_THREAD);
     assert_eq!(r.driver_failed, 0, "healthy tier must not fail a request");
     assert_eq!(r.routed, r.delivered, "every routed request delivered ok");
@@ -279,7 +260,7 @@ fn healthy_tier_is_invisible() {
 
 #[test]
 fn shard_crash_loses_no_client_request() {
-    let r = serial(42, Scenario::ShardCrash);
+    let r = tier_run(42, Scenario::ShardCrash);
     // Exactly-once under crash: all budgeted requests complete, none
     // fail, and the crashed shard's clients were visibly re-homed.
     assert_eq!(r.completed, THREADS as u64 * REQUESTS_PER_THREAD);
@@ -295,7 +276,7 @@ fn shard_crash_loses_no_client_request() {
 
 #[test]
 fn shard_partition_self_fences_and_rejoins() {
-    let r = serial(42, Scenario::ShardPartition);
+    let r = tier_run(42, Scenario::ShardPartition);
     assert_eq!(r.completed, THREADS as u64 * REQUESTS_PER_THREAD);
     assert_eq!(r.driver_failed, 0, "a partition must not fail a client");
     assert!(r.deposed >= 1, "the partitioned shard must be deposed");
@@ -307,7 +288,7 @@ fn shard_partition_self_fences_and_rejoins() {
 
 #[test]
 fn shard_drain_hands_off_in_flight_requests() {
-    let r = serial(42, Scenario::ShardDrain);
+    let r = tier_run(42, Scenario::ShardDrain);
     assert_eq!(r.completed, THREADS as u64 * REQUESTS_PER_THREAD);
     assert_eq!(r.driver_failed, 0, "a planned drain must not fail a client");
     assert!(
@@ -324,7 +305,7 @@ fn shard_drain_hands_off_in_flight_requests() {
 
 #[test]
 fn flash_crowd_with_shard_crash_completes_everything() {
-    let r = serial(42, Scenario::FlashCrowd);
+    let r = tier_run(42, Scenario::FlashCrowd);
     assert!(
         r.routed > 500,
         "the planetary model must generate real load (got {})",
@@ -425,18 +406,18 @@ fn hedged_tier_suppresses_reorder_and_duplicate_storms() {
 
 #[test]
 fn tier_trace_is_deterministic_across_runs() {
-    let a = serial(42, Scenario::ShardCrash).hash;
-    let b = serial(42, Scenario::ShardCrash).hash;
+    let a = tier_run(42, Scenario::ShardCrash).hash;
+    let b = tier_run(42, Scenario::ShardCrash).hash;
     assert_eq!(a, b, "same seed, same scenario, different trace");
-    let c = serial(42, Scenario::FlashCrowd).hash;
-    let d = serial(42, Scenario::FlashCrowd).hash;
+    let c = tier_run(42, Scenario::FlashCrowd).hash;
+    let d = tier_run(42, Scenario::FlashCrowd).hash;
     assert_eq!(c, d, "planet-driver runs must be deterministic too");
 }
 
 #[test]
 fn tier_different_seeds_diverge() {
-    let a = serial(42, Scenario::ShardCrash).hash;
-    let b = serial(7, Scenario::ShardCrash).hash;
+    let a = tier_run(42, Scenario::ShardCrash).hash;
+    let b = tier_run(7, Scenario::ShardCrash).hash;
     assert_ne!(a, b, "seed change must perturb the trace");
 }
 
@@ -460,14 +441,14 @@ const GOLDENS_FILE: &str = "gateway_tier_hashes.txt";
 /// ```
 #[test]
 fn tier_trace_hashes_match_pinned_goldens() {
-    if !serial_golden_checks_enabled() {
-        eprintln!("skipping pinned serial-golden check (seed offset or non-serial engine)");
+    if !golden_checks_enabled() {
+        eprintln!("skipping pinned golden check under LNIC_SEED_OFFSET");
         return;
     }
     if goldens::update_requested() {
         let cases: Vec<(String, u64)> = golden_cases()
             .into_iter()
-            .map(|(name, scenario)| (name.to_owned(), serial(42, scenario).hash))
+            .map(|(name, scenario)| (name.to_owned(), tier_run(42, scenario).hash))
             .collect();
         goldens::write(
             GOLDENS_FILE,
@@ -482,53 +463,11 @@ fn tier_trace_hashes_match_pinned_goldens() {
         let expect = *goldens
             .get(name)
             .unwrap_or_else(|| panic!("golden `{name}` missing from gateway_tier_hashes.txt"));
-        let got = serial(42, scenario).hash;
+        let got = tier_run(42, scenario).hash;
         assert_eq!(
             got, expect,
             "golden `{name}` drifted: got {got:#018x}, pinned {expect:#018x} \
              (if intentional, re-pin with UPDATE_GOLDENS=1)"
-        );
-    }
-}
-
-/// The sharded engine must reproduce the tier's trace bit-for-bit at
-/// 2/4/8 threads (all tier components live on the hub shard; only
-/// switch/worker traffic crosses shard boundaries). On divergence the
-/// two runs are dumped as JSONL artifacts for CI.
-#[test]
-fn tier_is_thread_count_invariant_on_the_sharded_engine() {
-    let scenario = Scenario::ShardCrash;
-    let reference = tier_run(42, scenario, EngineMode::Sharded { threads: 1 }, None);
-    for &threads in &[2usize, 4, 8] {
-        let got = tier_run(42, scenario, EngineMode::Sharded { threads }, None);
-        if got.hash != reference.hash {
-            let dir = divergence_dir();
-            std::fs::create_dir_all(&dir).expect("divergence dir");
-            let a = dir.join(format!("{}-t1.jsonl", scenario.name()));
-            let b = dir.join(format!("{}-t{}.jsonl", scenario.name(), threads));
-            tier_run(
-                42,
-                scenario,
-                EngineMode::Sharded { threads: 1 },
-                Some(a.clone()),
-            );
-            tier_run(
-                42,
-                scenario,
-                EngineMode::Sharded { threads },
-                Some(b.clone()),
-            );
-            panic!(
-                "`{}` diverged between 1 and {} threads; diverging traces at {} and {}",
-                scenario.name(),
-                threads,
-                a.display(),
-                b.display(),
-            );
-        }
-        assert_eq!(
-            got, reference,
-            "final metrics diverged at {threads} threads despite equal hashes"
         );
     }
 }

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use lnic::failover::FailoverConfig;
 use lnic::prelude::*;
 use lnic::repkv::RepKvReplica;
-use lnic_integration::{goldens, resilient_nic_config, serial_golden_checks_enabled};
+use lnic_integration::{golden_checks_enabled, goldens, resilient_nic_config};
 use lnic_raft::{RaftConfig, Role};
 use lnic_sim::prelude::*;
 use lnic_sim::trace::{TraceRecord, TraceSink};
@@ -282,8 +282,8 @@ const GOLDENS_FILE: &str = "kv_replication_hashes.txt";
 /// ```
 #[test]
 fn repkv_trace_hashes_match_pinned_goldens() {
-    if !serial_golden_checks_enabled() {
-        eprintln!("skipping pinned serial-golden check (seed offset or non-serial engine)");
+    if !golden_checks_enabled() {
+        eprintln!("skipping pinned golden check under LNIC_SEED_OFFSET");
         return;
     }
     if goldens::update_requested() {
