@@ -1,36 +1,78 @@
 //! Byte codec for [`RaftMsg`]: the wire format replication traffic uses
 //! when it rides the simulated data network between NIC-resident
-//! replicas (multi-packet AppendEntries are fragmented by `net::frag`
-//! above this layer, and the IPv4/UDP checksums below it drop corrupted
-//! frames before they reach the decoder).
+//! replicas (multi-packet AppendEntries and InstallSnapshot are
+//! fragmented by `net::frag` above this layer, and the IPv4/UDP checksums
+//! below it drop corrupted frames before they reach the decoder).
 //!
 //! The format is a straightforward big-endian TLV: node ids, an RPC
-//! tag, fixed fields, then length-prefixed entries/commands. Decoding is
-//! total — any truncated or malformed buffer yields an error rather
-//! than a panic, since link faults can deliver arbitrary garbage.
+//! tag, fixed fields, then length-prefixed entries/commands (or, for a
+//! snapshot, its keys in ascending order and its applied write uids).
+//! Decoding is total — any truncated or malformed buffer yields a typed
+//! [`DecodeError`] rather than a panic, since link faults can deliver
+//! arbitrary garbage.
+
+use std::fmt;
 
 use crate::msg::{RaftMsg, Rpc};
-use crate::types::{Command, LogEntry, NodeId};
+use crate::types::{Command, KvStore, LogEntry, NodeId, Snapshot};
 
 const TAG_REQUEST_VOTE: u8 = 1;
 const TAG_REQUEST_VOTE_REPLY: u8 = 2;
 const TAG_APPEND_ENTRIES: u8 = 3;
 const TAG_APPEND_ENTRIES_REPLY: u8 = 4;
+const TAG_INSTALL_SNAPSHOT: u8 = 5;
+const TAG_INSTALL_SNAPSHOT_REPLY: u8 = 6;
 
 const CMD_NOOP: u8 = 0;
 const CMD_PUT: u8 = 1;
 const CMD_DELETE: u8 = 2;
 const CMD_PUT_ONCE: u8 = 3;
 
-/// A decode failure (truncated buffer, unknown tag, or bad UTF-8 key).
+/// Why a buffer did not decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecodeError(pub &'static str);
+pub enum DecodeError {
+    /// The buffer ended inside a field.
+    Truncated,
+    /// The RPC tag byte names no RPC.
+    UnknownRpc(u8),
+    /// A command tag byte names no command.
+    UnknownCommand(u8),
+    /// A key is not UTF-8.
+    BadUtf8,
+    /// A count claims more items than the rest of the buffer could hold.
+    CountTooLarge {
+        /// Which count.
+        field: &'static str,
+    },
+    /// Snapshot keys are not strictly ascending (the encoder writes
+    /// them sorted and unique).
+    UnsortedKeys,
+    /// A snapshot lists one write uid twice.
+    DuplicateUid,
+    /// Bytes remain after a complete message.
+    TrailingBytes,
+}
 
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "raft codec: {}", self.0)
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "raft codec: truncated"),
+            DecodeError::UnknownRpc(tag) => write!(f, "raft codec: unknown rpc tag {tag}"),
+            DecodeError::UnknownCommand(tag) => {
+                write!(f, "raft codec: unknown command tag {tag}")
+            }
+            DecodeError::BadUtf8 => write!(f, "raft codec: bad utf-8 key"),
+            DecodeError::CountTooLarge { field } => {
+                write!(f, "raft codec: {field} count exceeds buffer")
+            }
+            DecodeError::UnsortedKeys => write!(f, "raft codec: snapshot keys not ascending"),
+            DecodeError::DuplicateUid => write!(f, "raft codec: duplicate snapshot uid"),
+            DecodeError::TrailingBytes => write!(f, "raft codec: trailing bytes"),
+        }
     }
 }
+
+impl std::error::Error for DecodeError {}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
@@ -113,6 +155,28 @@ pub fn encode(msg: &RaftMsg) -> Vec<u8> {
             out.push(u8::from(*success));
             out.extend_from_slice(&match_index.to_be_bytes());
         }
+        Rpc::InstallSnapshot { term, snapshot } => {
+            out.push(TAG_INSTALL_SNAPSHOT);
+            out.extend_from_slice(&term.to_be_bytes());
+            out.extend_from_slice(&snapshot.index.to_be_bytes());
+            out.extend_from_slice(&snapshot.term.to_be_bytes());
+            out.extend_from_slice(&snapshot.digest.to_be_bytes());
+            let kv = &snapshot.kv;
+            out.extend_from_slice(&(kv.data.len() as u32).to_be_bytes());
+            for (key, value) in &kv.data {
+                put_str(&mut out, key);
+                put_bytes(&mut out, value);
+            }
+            out.extend_from_slice(&(kv.applied_uids.len() as u32).to_be_bytes());
+            for uid in &kv.applied_uids {
+                out.extend_from_slice(&uid.to_be_bytes());
+            }
+        }
+        Rpc::InstallSnapshotReply { term, match_index } => {
+            out.push(TAG_INSTALL_SNAPSHOT_REPLY);
+            out.extend_from_slice(&term.to_be_bytes());
+            out.extend_from_slice(&match_index.to_be_bytes());
+        }
     }
     out
 }
@@ -128,7 +192,7 @@ impl<'a> Reader<'a> {
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or(DecodeError("truncated"))?;
+            .ok_or(DecodeError::Truncated)?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -153,7 +217,7 @@ impl<'a> Reader<'a> {
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("bad utf-8 key"))
+        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
@@ -176,8 +240,52 @@ impl<'a> Reader<'a> {
                 value: self.bytes()?,
                 uid: self.u64()?,
             }),
-            _ => Err(DecodeError("unknown command tag")),
+            tag => Err(DecodeError::UnknownCommand(tag)),
         }
+    }
+
+    /// Reads a count of items each at least `min_size` encoded bytes,
+    /// refusing one the rest of the buffer cannot hold before anything
+    /// is allocated for it.
+    fn count(&mut self, min_size: usize, field: &'static str) -> Result<usize, DecodeError> {
+        let count = self.u32()? as usize;
+        if count.saturating_mul(min_size) > self.buf.len() - self.pos {
+            return Err(DecodeError::CountTooLarge { field });
+        }
+        Ok(count)
+    }
+
+    fn snapshot(&mut self) -> Result<Snapshot, DecodeError> {
+        let index = self.u64()?;
+        let term = self.u64()?;
+        let digest = self.u64()?;
+        let mut kv = KvStore::default();
+        // A key is at least its u16 length, a value its u32 length.
+        for _ in 0..self.count(6, "snapshot key")? {
+            let key = self.string()?;
+            if kv
+                .data
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= key)
+            {
+                return Err(DecodeError::UnsortedKeys);
+            }
+            let value = self.bytes()?;
+            kv.data.insert(key, value);
+        }
+        let uids = self.count(8, "snapshot uid")?;
+        kv.applied_uids.reserve(uids);
+        for _ in 0..uids {
+            if !kv.applied_uids.insert(self.u64()?) {
+                return Err(DecodeError::DuplicateUid);
+            }
+        }
+        Ok(Snapshot {
+            index,
+            term,
+            digest,
+            kv,
+        })
     }
 }
 
@@ -201,12 +309,8 @@ pub fn decode(buf: &[u8]) -> Result<RaftMsg, DecodeError> {
             let prev_log_index = r.u64()?;
             let prev_log_term = r.u64()?;
             let leader_commit = r.u64()?;
-            let count = r.u32()? as usize;
-            // Cap before allocating: a corrupted count must not ask for
-            // gigabytes (each entry is at least 9 encoded bytes).
-            if count > buf.len() {
-                return Err(DecodeError("entry count exceeds buffer"));
-            }
+            // Each entry is at least its term and command tag.
+            let count = r.count(9, "entry")?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
                 entries.push(LogEntry {
@@ -227,10 +331,18 @@ pub fn decode(buf: &[u8]) -> Result<RaftMsg, DecodeError> {
             success: r.u8()? != 0,
             match_index: r.u64()?,
         },
-        _ => return Err(DecodeError("unknown rpc tag")),
+        TAG_INSTALL_SNAPSHOT => Rpc::InstallSnapshot {
+            term: r.u64()?,
+            snapshot: Box::new(r.snapshot()?),
+        },
+        TAG_INSTALL_SNAPSHOT_REPLY => Rpc::InstallSnapshotReply {
+            term: r.u64()?,
+            match_index: r.u64()?,
+        },
+        tag => return Err(DecodeError::UnknownRpc(tag)),
     };
     if r.pos != buf.len() {
-        return Err(DecodeError("trailing bytes"));
+        return Err(DecodeError::TrailingBytes);
     }
     Ok(RaftMsg { from, to, rpc })
 }

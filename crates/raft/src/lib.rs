@@ -8,6 +8,13 @@
 //! deterministically on the `lnic-sim` engine with a controllable
 //! message fabric (delay, loss, partitions).
 //!
+//! Logs are compacted (Raft §7): each node folds its applied prefix into
+//! an incremental [`Snapshot`], a leader never compacts past an entry a
+//! peer has not acknowledged, and a peer that falls behind a new
+//! leader's snapshot is caught up with [`Rpc::InstallSnapshot`]. A
+//! node's memory is thus bounded by the writes in flight, apart from the
+//! store's own per-write dedup set ([`KvStore::has_uid`]).
+//!
 //! ## Example: a three-node cluster commits a write
 //!
 //! ```
@@ -77,4 +84,4 @@ pub mod types;
 pub use msg::{ClientOp, ClientReply, ClientRequest, NotLeader, RaftMsg, Rpc};
 pub use net::{Heal, RaftNet, SetPartitions};
 pub use node::{Crash, RaftConfig, RaftNode, Restart, StartNode};
-pub use types::{Command, KvStore, LogEntry, LogIndex, NodeId, Role, Term};
+pub use types::{Command, KvStore, LogEntry, LogIndex, NodeId, Role, Snapshot, Term};

@@ -2,7 +2,7 @@
 
 use lnic_sim::engine::ComponentId;
 
-use crate::types::{Command, LogEntry, LogIndex, NodeId, Term};
+use crate::types::{Command, LogEntry, LogIndex, NodeId, Snapshot, Term};
 
 /// A Raft RPC payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,6 +43,23 @@ pub enum Rpc {
         /// Whether the append succeeded.
         success: bool,
         /// Highest index known replicated on the follower (on success).
+        match_index: LogIndex,
+    },
+    /// Leader shipping its snapshot to a peer whose next entry it has
+    /// already compacted away (Raft §7).
+    InstallSnapshot {
+        /// Leader's term.
+        term: Term,
+        /// The leader's snapshot (boxed: it carries a whole store, and
+        /// every other RPC is a few words).
+        snapshot: Box<Snapshot>,
+    },
+    /// Snapshot response.
+    InstallSnapshotReply {
+        /// Follower's term.
+        term: Term,
+        /// Highest index known replicated on the follower: the
+        /// snapshot's index once installed (0 when refused).
         match_index: LogIndex,
     },
 }

@@ -1,12 +1,29 @@
-//! The Raft consensus node (leader election + log replication, following
-//! the Raft paper's Figure 2; no snapshots or membership changes).
+//! The Raft consensus node: leader election and log replication
+//! following the Raft paper's Figure 2, plus log compaction with
+//! snapshots (§7); no membership changes.
+//!
+//! ## Compaction
+//!
+//! Each node folds the applied prefix of its log into a [`Snapshot`]: a
+//! second [`KvStore`] that moves forward one drained entry at a time, so
+//! the log holds only entries some node may still need. A follower
+//! compacts below its `last_applied`; a leader below the smaller of its
+//! `last_applied` and every peer's `match_index`. Compaction waits until
+//! the prefix is at least [`COMPACT_MIN_ENTRIES`] entries *and* at least
+//! half the retained log, so draining costs amortised O(1) per entry. A
+//! peer whose next entry the leader has compacted away (possible only
+//! after a leader change, since a leader never compacts past any peer's
+//! match index) is sent the snapshot itself as
+//! [`Rpc::InstallSnapshot`].
 
 use lnic_sim::hash::{FastMap, FastSet};
 use lnic_sim::prelude::*;
 use rand::Rng;
 
 use crate::msg::{ClientOp, ClientReply, ClientRequest, NotLeader, RaftMsg, Rpc};
-use crate::types::{Command, KvStore, LogEntry, LogIndex, NodeId, Role, Term};
+use crate::types::{
+    chain_digest, Command, KvStore, LogEntry, LogIndex, NodeId, Role, Snapshot, Term,
+};
 
 /// Protocol timing configuration.
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +66,13 @@ impl Default for RaftConfig {
 /// success path).
 const MAX_APPEND_BATCH: usize = 64;
 
+/// Fewest applied entries a node folds into its snapshot at once. A
+/// compaction also waits until the prefix is at least half the retained
+/// log, so the `drain` that shifts the suffix down costs amortised O(1)
+/// per entry, and a fault-free node retains about twice this many
+/// entries at most.
+pub const COMPACT_MIN_ENTRIES: usize = 64;
+
 #[derive(Debug)]
 struct ElectionTimeout {
     epoch: u64,
@@ -72,7 +96,10 @@ pub struct RaftNode {
     // Persistent state.
     term: Term,
     voted_for: Option<NodeId>,
+    /// Entries after the snapshot: `log[i]` is index `snap.index + 1 + i`.
     log: Vec<LogEntry>,
+    /// The compacted prefix `1..=snap.index`.
+    snap: Snapshot,
 
     // Volatile state.
     role: Role,
@@ -87,9 +114,8 @@ pub struct RaftNode {
     /// Whether the node is crashed (ignores traffic until restart).
     crashed: bool,
     kv: KvStore,
-    /// `(index, term, command)` of every applied entry, for invariant
-    /// checking in tests.
-    applied: Vec<(LogIndex, Term, Command)>,
+    /// [`chain_digest`] over entries `1..=last_applied`.
+    applied_digest: u64,
     /// Client waiting on each proposed index.
     pending: FastMap<LogIndex, (u64, ComponentId)>,
     /// History of `(term, was_leader)` observations for election-safety
@@ -101,6 +127,10 @@ pub struct RaftNode {
     /// Index of the no-op this leader proposed on election; local reads
     /// wait for it to commit (Raft §8's current-commit-index guard).
     term_start: LogIndex,
+    /// Peers this leader has sent its snapshot to and not heard back
+    /// from. A snapshot is resent at most once per heartbeat, however
+    /// many appends or rejections ask for it meanwhile.
+    snapshot_inflight: FastSet<NodeId>,
 }
 
 impl RaftNode {
@@ -121,6 +151,7 @@ impl RaftNode {
             term: 0,
             voted_for: None,
             log: Vec::new(),
+            snap: Snapshot::default(),
             role: Role::Follower,
             commit_index: 0,
             last_applied: 0,
@@ -131,11 +162,12 @@ impl RaftNode {
             election_epoch: 0,
             crashed: false,
             kv: KvStore::default(),
-            applied: Vec::new(),
+            applied_digest: 0,
             pending: FastMap::default(),
             leader_terms: Vec::new(),
             ack_times: FastMap::default(),
             term_start: 0,
+            snapshot_inflight: FastSet::default(),
         }
     }
 
@@ -159,14 +191,28 @@ impl RaftNode {
         self.commit_index
     }
 
-    /// The replicated log (tests/invariant checks).
+    /// The retained log after the snapshot: entry `i` has index
+    /// [`Self::snapshot_index`]` + 1 + i` (tests/invariant checks).
     pub fn log(&self) -> &[LogEntry] {
         &self.log
     }
 
-    /// Applied `(index, term, command)` triples in apply order.
-    pub fn applied(&self) -> &[(LogIndex, Term, Command)] {
-        &self.applied
+    /// Last index folded into the node's snapshot (0 before the first
+    /// compaction).
+    pub fn snapshot_index(&self) -> LogIndex {
+        self.snap.index
+    }
+
+    /// Index of the last entry applied to the state machine.
+    pub fn last_applied(&self) -> LogIndex {
+        self.last_applied
+    }
+
+    /// [`chain_digest`] over every entry applied so far (`1..=`
+    /// [`Self::last_applied`]): nodes at one index with equal digests
+    /// applied the same sequence.
+    pub fn applied_digest(&self) -> u64 {
+        self.applied_digest
     }
 
     /// Terms in which this node became leader.
@@ -228,19 +274,25 @@ impl RaftNode {
     }
 
     fn last_log_index(&self) -> LogIndex {
-        self.log.len() as LogIndex
+        self.snap.index + self.log.len() as LogIndex
     }
 
     fn last_log_term(&self) -> Term {
-        self.log.last().map_or(0, |e| e.term)
+        self.log.last().map_or(self.snap.term, |e| e.term)
     }
 
+    /// Position in `log` of `index`, when it is after the snapshot.
+    fn log_pos(&self, index: LogIndex) -> Option<usize> {
+        index.checked_sub(self.snap.index + 1).map(|p| p as usize)
+    }
+
+    /// Term of the entry at `index`: known for the snapshot's last entry
+    /// and the retained log, `None` inside the snapshot or past the end.
     fn entry_term(&self, index: LogIndex) -> Option<Term> {
-        if index == 0 {
-            Some(0)
-        } else {
-            self.log.get(index as usize - 1).map(|e| e.term)
+        if index == self.snap.index {
+            return Some(self.snap.term);
         }
+        self.log.get(self.log_pos(index)?).map(|e| e.term)
     }
 
     fn majority(&self) -> usize {
@@ -342,6 +394,7 @@ impl RaftNode {
             self.next_index.insert(p, next);
             self.match_index.insert(p, 0);
         }
+        self.snapshot_inflight.clear();
         // Commit a no-op from the new term (Raft §8) so the leader learns
         // the commit index promptly; local reads wait for it.
         self.log.push(LogEntry {
@@ -366,9 +419,27 @@ impl RaftNode {
 
     fn send_append(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
         let next = *self.next_index.get(&peer).unwrap_or(&1);
+        if next <= self.snap.index {
+            // The peer needs entries this node has compacted away.
+            if self.snapshot_inflight.insert(peer) {
+                let snapshot = Box::new(self.snap.clone());
+                self.send(
+                    ctx,
+                    peer,
+                    Rpc::InstallSnapshot {
+                        term: self.term,
+                        snapshot,
+                    },
+                );
+            }
+            return;
+        }
         let prev_index = next - 1;
         let prev_term = self.entry_term(prev_index).unwrap_or(0);
-        let suffix = self.log.get(prev_index as usize..).unwrap_or(&[]);
+        let suffix = self
+            .log
+            .get(prev_index as usize - self.snap.index as usize..)
+            .unwrap_or(&[]);
         let entries: Vec<LogEntry> = suffix[..suffix.len().min(MAX_APPEND_BATCH)].to_vec();
         self.send(
             ctx,
@@ -407,10 +478,9 @@ impl RaftNode {
     fn apply_committed(&mut self, ctx: &mut Ctx<'_>) {
         while self.last_applied < self.commit_index {
             self.last_applied += 1;
-            let entry = self.log[self.last_applied as usize - 1].clone();
+            let entry = &self.log[(self.last_applied - self.snap.index - 1) as usize];
             let result = self.kv.apply(&entry.command);
-            self.applied
-                .push((self.last_applied, entry.term, entry.command));
+            self.applied_digest = chain_digest(self.applied_digest, self.last_applied, entry);
             if let Some((token, client)) = self.pending.remove(&self.last_applied) {
                 ctx.send(
                     client,
@@ -420,6 +490,65 @@ impl RaftNode {
                         result: Ok(result),
                     },
                 );
+            }
+        }
+        self.compact();
+    }
+
+    /// Folds the prefix no node can need from this one into the
+    /// snapshot: below `last_applied` on any node, and on a leader also
+    /// below every peer's `match_index`.
+    fn compact(&mut self) {
+        let mut upto = self.last_applied;
+        if self.role == Role::Leader {
+            for p in &self.peers {
+                upto = upto.min(self.match_index.get(p).copied().unwrap_or(0));
+            }
+        }
+        let n = upto.saturating_sub(self.snap.index) as usize;
+        if n < COMPACT_MIN_ENTRIES || 2 * n < self.log.len() {
+            return;
+        }
+        for entry in self.log.drain(..n) {
+            self.snap.fold(&entry);
+        }
+    }
+
+    /// Installs a leader's snapshot (Raft Fig. 13). Entries after it are
+    /// kept when the log holds the snapshot's last entry; the state
+    /// machine is replaced only when it is behind the snapshot.
+    fn install_snapshot(&mut self, snapshot: Snapshot) {
+        if snapshot.index <= self.snap.index {
+            return; // stale or duplicate: already covered
+        }
+        if self.entry_term(snapshot.index) == Some(snapshot.term) {
+            let covered = (snapshot.index - self.snap.index) as usize;
+            self.log.drain(..covered);
+        } else {
+            self.log.clear();
+        }
+        if self.last_applied < snapshot.index {
+            self.kv = snapshot.kv.clone();
+            self.last_applied = snapshot.index;
+            self.applied_digest = snapshot.digest;
+        }
+        self.commit_index = self.commit_index.max(snapshot.index);
+        self.snap = snapshot;
+    }
+
+    /// A peer acknowledged everything up to `match_index` (an append or
+    /// a snapshot install): advance its pipe and the commit index.
+    fn on_peer_match(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, match_index: LogIndex) {
+        // Monotonic: a late or duplicated ack must not rewind the pipe.
+        let prev = self.match_index.get(&peer).copied().unwrap_or(0);
+        if match_index > prev {
+            self.match_index.insert(peer, match_index);
+            self.next_index.insert(peer, match_index + 1);
+            self.try_advance_commit(ctx);
+            if match_index < self.last_log_index() {
+                // Ack-clocked catch-up: the peer accepted a capped batch
+                // and is still behind.
+                self.send_append(ctx, peer);
             }
         }
     }
@@ -489,7 +618,11 @@ impl RaftNode {
                 // Valid leader for this term.
                 self.leader_hint = Some(from);
                 self.reset_election_timer(ctx);
-                if self.entry_term(prev_log_index) != Some(prev_log_term) {
+                // Entries at or below the snapshot are committed, so
+                // they match whatever a valid leader sends for them.
+                if prev_log_index >= self.snap.index
+                    && self.entry_term(prev_log_index) != Some(prev_log_term)
+                {
                     self.send(
                         ctx,
                         from,
@@ -505,10 +638,13 @@ impl RaftNode {
                 let mut index = prev_log_index;
                 for entry in entries {
                     index += 1;
-                    match self.entry_term(index) {
+                    let Some(pos) = self.log_pos(index) else {
+                        continue; // inside the snapshot
+                    };
+                    match self.log.get(pos).map(|e| e.term) {
                         Some(t) if t == entry.term => {}
                         Some(_) => {
-                            self.log.truncate(index as usize - 1);
+                            self.log.truncate(pos);
                             self.log.push(entry);
                         }
                         None => self.log.push(entry),
@@ -545,25 +681,45 @@ impl RaftNode {
                 // processed an append from this leadership.
                 self.ack_times.insert(from, ctx.now());
                 if success {
-                    // Monotonic: a late or duplicated ack must not
-                    // rewind the pipe.
-                    let prev = self.match_index.get(&from).copied().unwrap_or(0);
-                    if match_index > prev {
-                        self.match_index.insert(from, match_index);
-                        self.next_index.insert(from, match_index + 1);
-                        self.try_advance_commit(ctx);
-                        if match_index < self.last_log_index() {
-                            // Ack-clocked catch-up: the peer accepted a
-                            // capped batch and is still behind.
-                            self.send_append(ctx, from);
-                        }
-                    }
+                    self.on_peer_match(ctx, from, match_index);
                 } else {
                     // Back off and retry.
                     let next = self.next_index.entry(from).or_insert(1);
                     *next = next.saturating_sub(1).max(1);
                     self.send_append(ctx, from);
                 }
+            }
+            Rpc::InstallSnapshot { term, snapshot } => {
+                if term > self.term || (term == self.term && self.role == Role::Candidate) {
+                    self.become_follower(ctx, term);
+                }
+                let mut match_index = 0;
+                if term == self.term {
+                    self.leader_hint = Some(from);
+                    self.reset_election_timer(ctx);
+                    match_index = snapshot.index;
+                    self.install_snapshot(*snapshot);
+                }
+                self.send(
+                    ctx,
+                    from,
+                    Rpc::InstallSnapshotReply {
+                        term: self.term,
+                        match_index,
+                    },
+                );
+            }
+            Rpc::InstallSnapshotReply { term, match_index } => {
+                if term > self.term {
+                    self.become_follower(ctx, term);
+                    return;
+                }
+                if self.role != Role::Leader || term != self.term {
+                    return;
+                }
+                self.snapshot_inflight.remove(&from);
+                self.ack_times.insert(from, ctx.now());
+                self.on_peer_match(ctx, from, match_index);
             }
         }
     }
@@ -627,13 +783,13 @@ impl RaftNode {
 pub struct StartNode;
 
 /// Control message: crash the node. Volatile state is lost; persistent
-/// state (term, vote, log) survives, per Raft's durability contract. A
-/// crashed node ignores everything except [`Restart`].
+/// state (term, vote, snapshot, log) survives, per Raft's durability
+/// contract. A crashed node ignores everything except [`Restart`].
 #[derive(Debug)]
 pub struct Crash;
 
-/// Control message: restart a crashed node. The state machine is rebuilt
-/// by replaying the persistent log as entries re-commit.
+/// Control message: restart a crashed node. The state machine restarts
+/// from the snapshot, and the retained log replays as entries re-commit.
 #[derive(Debug)]
 pub struct Restart;
 
@@ -648,16 +804,18 @@ impl Component for RaftNode {
             self.crashed = true;
             // Volatile state vanishes (Raft Fig. 2: commitIndex and
             // lastApplied are volatile; the state machine is rebuilt on
-            // restart). Persistent term/vote/log survive.
+            // restart). Persistent term/vote/snapshot/log survive, and
+            // the snapshot is committed, so the state machine restarts
+            // from it.
             self.role = Role::Follower;
             self.votes.clear();
             self.leader_hint = None;
             self.next_index.clear();
             self.match_index.clear();
-            self.commit_index = 0;
-            self.last_applied = 0;
-            self.kv = KvStore::default();
-            self.applied.clear();
+            self.commit_index = self.snap.index;
+            self.last_applied = self.snap.index;
+            self.kv = self.snap.kv.clone();
+            self.applied_digest = self.snap.digest;
             self.pending.clear();
             self.ack_times.clear();
             self.term_start = 0;
@@ -702,6 +860,8 @@ impl Component for RaftNode {
         let msg = match msg.downcast::<HeartbeatTick>() {
             Ok(t) => {
                 if self.role == Role::Leader && t.term == self.term {
+                    // Retry any snapshot whose reply has not come back.
+                    self.snapshot_inflight.clear();
                     self.broadcast_append(ctx);
                     ctx.send_self(
                         self.cfg.heartbeat_interval,

@@ -4,8 +4,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-use lnic_sim::hash::FastSet;
+use lnic_sim::hash::{FastSet, FxHasher};
 
 /// A Raft term.
 pub type Term = u64;
@@ -79,8 +80,11 @@ pub struct LogEntry {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvStore {
-    data: BTreeMap<String, Vec<u8>>,
-    applied_uids: FastSet<u64>,
+    pub(crate) data: BTreeMap<String, Vec<u8>>,
+    /// Every [`Command::PutOnce`] uid ever applied. Uids are arbitrary
+    /// client values, so no watermark can stand in for the set: it grows
+    /// by one `u64` per distinct write for the life of the store.
+    pub(crate) applied_uids: FastSet<u64>,
 }
 
 impl KvStore {
@@ -132,6 +136,54 @@ impl KvStore {
             .range(prefix.to_owned()..)
             .take_while(move |(k, _)| k.starts_with(prefix))
             .map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+}
+
+/// Chains one applied entry onto a state-machine digest: the digest at
+/// index `i` covers every `(index, term, command)` in `1..=i`, so two
+/// nodes with equal digests at one index applied the same sequence (up
+/// to a 64-bit hash collision). The digest of the empty prefix is 0.
+pub fn chain_digest(prev: u64, index: LogIndex, entry: &LogEntry) -> u64 {
+    let mut h = FxHasher::default();
+    (prev, index, entry.term, &entry.command).hash(&mut h);
+    h.finish()
+}
+
+/// A compacted log prefix (Raft §7): the state machine after applying
+/// entries `1..=index`, which replaces those entries on the node that
+/// holds it and is what a leader ships to a peer that needs them.
+///
+/// # Examples
+///
+/// ```
+/// use lnic_raft::types::{Command, LogEntry, Snapshot};
+///
+/// let mut snap = Snapshot::default();
+/// snap.fold(&LogEntry { term: 2, command: Command::Put { key: "a".into(), value: b"1".to_vec() } });
+/// assert_eq!((snap.index, snap.term), (1, 2));
+/// assert_eq!(snap.kv.get("a"), Some(&b"1"[..]));
+/// ```
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Last log index folded in (0 = nothing compacted yet).
+    pub index: LogIndex,
+    /// Term of the entry at `index` (0 when `index` is 0).
+    pub term: Term,
+    /// [`chain_digest`] over entries `1..=index`.
+    pub digest: u64,
+    /// The key-value state after applying entries `1..=index`.
+    pub kv: KvStore,
+}
+
+impl Snapshot {
+    /// Folds the entry at `index + 1` into the snapshot, applying its
+    /// command to the snapshot's own store: compaction moves the
+    /// snapshot forward one entry at a time and never copies the store.
+    pub fn fold(&mut self, entry: &LogEntry) {
+        self.index += 1;
+        self.term = entry.term;
+        self.digest = chain_digest(self.digest, self.index, entry);
+        self.kv.apply(&entry.command);
     }
 }
 

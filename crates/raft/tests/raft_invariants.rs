@@ -1,9 +1,12 @@
-//! Raft safety and liveness tests under asynchrony, loss, and partitions.
+//! Raft safety and liveness tests under asynchrony, loss, partitions,
+//! crashes, and log compaction.
+
+use std::collections::BTreeMap;
 
 use lnic_raft::msg::{ClientOp, ClientReply, ClientRequest};
 use lnic_raft::net::{Heal, RaftNet, SetPartitions};
-use lnic_raft::node::{RaftConfig, RaftNode, StartNode};
-use lnic_raft::types::{Command, NodeId, Role, Term};
+use lnic_raft::node::{RaftConfig, RaftNode, StartNode, COMPACT_MIN_ENTRIES};
+use lnic_raft::types::{Command, LogIndex, NodeId, Role, Term};
 use lnic_sim::prelude::*;
 
 struct Client {
@@ -13,6 +16,25 @@ struct Client {
 impl Component for Client {
     fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
         self.replies.push(*msg.downcast::<ClientReply>().unwrap());
+    }
+}
+
+/// A [`RaftNode`] plus the `(last_applied, applied_digest)` it showed
+/// after each message it handled: the state-machine safety check reads
+/// the applied sequence through these, since compaction drops applied
+/// entries.
+struct Observed {
+    node: RaftNode,
+    seen: Vec<(LogIndex, u64)>,
+}
+
+impl Component for Observed {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+        self.node.handle(ctx, msg);
+        let now = (self.node.last_applied(), self.node.applied_digest());
+        if self.seen.last() != Some(&now) {
+            self.seen.push(now);
+        }
     }
 }
 
@@ -33,7 +55,12 @@ fn cluster(seed: u64, n: u32, drop_prob: f64) -> Cluster {
         drop_prob,
     ));
     let nodes: Vec<ComponentId> = (0..n)
-        .map(|i| sim.add(RaftNode::new(NodeId(i), n, net, RaftConfig::default())))
+        .map(|i| {
+            sim.add(Observed {
+                node: RaftNode::new(NodeId(i), n, net, RaftConfig::default()),
+                seen: Vec::new(),
+            })
+        })
         .collect();
     *sim.get_mut::<RaftNet>(net).unwrap() = RaftNet::new(
         nodes.clone(),
@@ -61,11 +88,11 @@ impl Cluster {
         self.nodes
             .iter()
             .copied()
-            .find(|&n| self.sim.get::<RaftNode>(n).unwrap().role() == Role::Leader)
+            .find(|&n| self.node(n).role() == Role::Leader)
     }
 
     fn node(&self, id: ComponentId) -> &RaftNode {
-        self.sim.get::<RaftNode>(id).unwrap()
+        &self.sim.get::<Observed>(id).unwrap().node
     }
 
     fn put(&mut self, token: u64, key: &str, value: &[u8]) {
@@ -89,6 +116,47 @@ impl Cluster {
         &self.sim.get::<Client>(self.client).unwrap().replies
     }
 
+    /// Proposes a [`Command::PutOnce`] to the current leader.
+    fn put_once(&mut self, token: u64, key: &str, value: &[u8], uid: u64) {
+        let leader = self.leader().expect("a leader exists");
+        let client = self.client;
+        self.sim.post(
+            leader,
+            SimDuration::ZERO,
+            ClientRequest {
+                token,
+                reply_to: client,
+                op: ClientOp::Write(Command::PutOnce {
+                    key: key.into(),
+                    value: value.to_vec(),
+                    uid,
+                }),
+            },
+        );
+    }
+
+    /// Proposes writes `first..first + count` (uid = token = write
+    /// number, over 64 keys) in pipelined batches of 16 and lets each
+    /// batch commit before the next.
+    fn write_batches(&mut self, first: u64, count: u64) {
+        for batch in (first..first + count).step_by(16) {
+            for i in batch..(batch + 16).min(first + count) {
+                self.put_once(i, &format!("key{}", i % 64), &i.to_be_bytes(), i);
+            }
+            self.run_for(SimDuration::from_millis(5));
+        }
+    }
+
+    fn ok_writes(&self) -> usize {
+        self.replies().iter().filter(|r| r.result.is_ok()).count()
+    }
+
+    /// Last log index a node holds (snapshot plus retained entries).
+    fn last_index(&self, id: ComponentId) -> LogIndex {
+        let node = self.node(id);
+        node.snapshot_index() + node.log().len() as LogIndex
+    }
+
     /// Election safety: no term has two leaders.
     fn check_election_safety(&self) {
         let mut terms_seen: Vec<(Term, ComponentId)> = Vec::new();
@@ -102,26 +170,30 @@ impl Cluster {
         }
     }
 
-    /// Log matching: same (index, term) implies identical prefixes.
+    /// Log matching: same (index, term) implies identical prefixes, over
+    /// the indices both nodes still retain (below a node's snapshot the
+    /// state-machine check covers its entries).
     fn check_log_matching(&self) {
         for (i, &a) in self.nodes.iter().enumerate() {
             for &b in &self.nodes[i + 1..] {
-                let la = self.node(a).log();
-                let lb = self.node(b).log();
-                let common = la.len().min(lb.len());
-                // Find the highest common index with equal term.
-                let mut anchor = None;
-                for idx in (0..common).rev() {
-                    if la[idx].term == lb[idx].term {
-                        anchor = Some(idx);
-                        break;
-                    }
+                let (na, nb) = (self.node(a), self.node(b));
+                let (la, lb) = (na.log(), nb.log());
+                let base = na.snapshot_index().max(nb.snapshot_index());
+                let end = (na.snapshot_index() + la.len() as LogIndex)
+                    .min(nb.snapshot_index() + lb.len() as LogIndex);
+                if end <= base {
+                    continue; // no retained overlap
                 }
-                if let Some(anchor) = anchor {
+                // Both retained windows as slices over (base, end].
+                let wa = &la[(base - na.snapshot_index()) as usize..][..(end - base) as usize];
+                let wb = &lb[(base - nb.snapshot_index()) as usize..][..(end - base) as usize];
+                // Find the highest common index with equal term.
+                if let Some(anchor) = (0..wa.len()).rev().find(|&p| wa[p].term == wb[p].term) {
                     assert_eq!(
-                        &la[..=anchor],
-                        &lb[..=anchor],
-                        "log matching violated below anchor {anchor}"
+                        &wa[..=anchor],
+                        &wb[..=anchor],
+                        "log matching violated below anchor {}",
+                        base + 1 + anchor as LogIndex
                     );
                 }
             }
@@ -129,13 +201,20 @@ impl Cluster {
     }
 
     /// State-machine safety: applied sequences are prefix-consistent.
+    /// Every node's `(last_applied, applied_digest)` is recorded after
+    /// every message it handles, for the whole run and across crashes;
+    /// any two records at one index, from any nodes at any times, must
+    /// carry the same digest. The digest chains every applied `(index,
+    /// term, command)`, so equal digests mean equal applied prefixes.
     fn check_state_machine_safety(&self) {
-        for (i, &a) in self.nodes.iter().enumerate() {
-            for &b in &self.nodes[i + 1..] {
-                let aa = self.node(a).applied();
-                let ab = self.node(b).applied();
-                let common = aa.len().min(ab.len());
-                assert_eq!(&aa[..common], &ab[..common], "state machines diverged");
+        let mut at: BTreeMap<LogIndex, (u64, ComponentId)> = BTreeMap::new();
+        for &n in &self.nodes {
+            for &(index, digest) in &self.sim.get::<Observed>(n).unwrap().seen {
+                let (first, by) = *at.entry(index).or_insert((digest, n));
+                assert_eq!(
+                    digest, first,
+                    "state machines diverged at index {index}: {n} vs {by}"
+                );
             }
         }
     }
@@ -377,7 +456,10 @@ fn deterministic_across_identical_seeds() {
         c.run_for(SimDuration::from_secs(2));
         c.nodes
             .iter()
-            .map(|&n| (c.node(n).term(), c.node(n).log().len()))
+            .map(|&n| {
+                let node = c.node(n);
+                (node.term(), node.snapshot_index(), node.log().len())
+            })
             .collect::<Vec<_>>()
     };
     assert_eq!(run(31), run(31));
@@ -606,5 +688,164 @@ fn deposed_leader_fails_pending_client_writes() {
         .find(|r| r.token == 777)
         .expect("the dangling proposal must be answered");
     assert!(reply.result.is_err(), "deposed leader fails the proposal");
+    c.check_all();
+}
+
+#[test]
+fn fault_free_writes_keep_the_log_bounded() {
+    let mut c = cluster(41, 3, 0.0);
+    c.run_for(SimDuration::from_secs(2));
+    let mut most_retained = 0;
+    for chunk in 0..20u64 {
+        c.write_batches(chunk * 1_000, 1_000);
+        for &n in &c.nodes {
+            most_retained = most_retained.max(c.node(n).log().len());
+        }
+    }
+    c.run_for(SimDuration::from_millis(200));
+    assert_eq!(c.ok_writes(), 20_000, "every write commits");
+    assert!(
+        most_retained <= 2 * COMPACT_MIN_ENTRIES,
+        "a node retained {most_retained} entries mid-run"
+    );
+    let leader = c.leader().expect("stable leader");
+    for &n in &c.nodes {
+        let node = c.node(n);
+        assert!(
+            node.log().len() <= 2 * COMPACT_MIN_ENTRIES,
+            "{n} retains {} entries after 20 000 writes",
+            node.log().len()
+        );
+        assert!(node.snapshot_index() > 20_000 - 2 * COMPACT_MIN_ENTRIES as LogIndex);
+        assert_eq!(node.last_applied(), c.node(leader).last_applied());
+        assert_eq!(
+            node.kv(),
+            c.node(leader).kv(),
+            "{n} diverged from the leader"
+        );
+        assert!(node.kv().has_uid(0) && node.kv().has_uid(19_999));
+    }
+    c.check_all();
+}
+
+#[test]
+fn restart_from_snapshot_and_suffix_reapplies_the_same_state() {
+    use lnic_raft::{Crash, Restart};
+
+    let mut c = cluster(42, 3, 0.0);
+    c.run_for(SimDuration::from_secs(2));
+    c.write_batches(0, 170);
+    c.run_for(SimDuration::from_millis(200));
+    assert_eq!(c.ok_writes(), 170);
+    let leader = c.leader().expect("stable leader");
+    let mut order: Vec<ComponentId> = c.nodes.iter().copied().filter(|&n| n != leader).collect();
+    // Followers first (no leader change, so the state must come back
+    // bit for bit), then the leader (its successor adds a no-op).
+    order.push(leader);
+    for n in order {
+        let before = c.node(n);
+        assert!(
+            before.snapshot_index() > 0 && !before.log().is_empty(),
+            "the restart replays a snapshot plus a non-empty suffix"
+        );
+        let (applied, digest, kv) = (
+            before.last_applied(),
+            before.applied_digest(),
+            before.kv().clone(),
+        );
+        let snapshot_index = before.snapshot_index();
+        c.sim.post(n, SimDuration::ZERO, Crash);
+        c.run_for(SimDuration::from_millis(1));
+        let crashed = c.node(n);
+        assert_eq!(
+            crashed.last_applied(),
+            snapshot_index,
+            "restored to the snapshot"
+        );
+        assert_eq!(crashed.commit_index(), snapshot_index);
+        c.sim.post(n, SimDuration::ZERO, Restart);
+        c.run_for(SimDuration::from_secs(2));
+        let after = c.node(n);
+        assert_eq!(after.kv(), &kv, "{n} re-applied to a different state");
+        if n != leader {
+            assert_eq!(after.last_applied(), applied);
+            assert_eq!(
+                after.applied_digest(),
+                digest,
+                "{n} replayed another sequence"
+            );
+        }
+    }
+    c.check_all();
+}
+
+#[test]
+fn lagging_follower_catches_up_through_install_snapshot() {
+    use lnic_raft::{Crash, Restart};
+
+    let mut c = cluster(43, 5, 0.0);
+    c.run_for(SimDuration::from_secs(2));
+    let old_leader = c.leader().expect("initial leader");
+    let lagging = c.nodes.iter().copied().find(|&n| n != old_leader).unwrap();
+    c.sim.post(lagging, SimDuration::ZERO, Crash);
+    c.run_for(SimDuration::from_millis(10));
+
+    // The group commits well past the compaction point without the
+    // lagging node. The leader keeps its log for it; the followers fold
+    // theirs into snapshots.
+    c.write_batches(0, 300);
+    c.run_for(SimDuration::from_millis(200));
+    assert_eq!(c.ok_writes(), 300);
+    assert!(
+        c.node(old_leader).log().len() > 300,
+        "the leader kept its log"
+    );
+
+    // Leadership moves to a follower that has compacted away the entries
+    // the lagging node lacks, so AppendEntries alone cannot catch it up.
+    c.sim.post(old_leader, SimDuration::ZERO, Crash);
+    c.run_for(SimDuration::from_secs(1));
+    let leader = c.leader().expect("re-elected among three of five");
+    assert!(leader != old_leader && leader != lagging);
+    c.write_batches(300, 300);
+    c.run_for(SimDuration::from_millis(200));
+    assert_eq!(c.ok_writes(), 600);
+    let behind = c.last_index(lagging);
+    assert!(
+        c.node(leader).snapshot_index() > behind,
+        "the leader compacted past the lagging node's last index {behind}"
+    );
+
+    c.sim.post(lagging, SimDuration::ZERO, Restart);
+    c.sim.post(old_leader, SimDuration::ZERO, Restart);
+    c.run_for(SimDuration::from_secs(2));
+    assert_eq!(
+        c.leader(),
+        Some(leader),
+        "leadership held through the catch-up"
+    );
+    assert!(
+        c.node(lagging).snapshot_index() > behind,
+        "caught up by snapshot"
+    );
+    assert_eq!(
+        c.node(lagging).last_applied(),
+        c.node(leader).last_applied()
+    );
+    assert_eq!(
+        c.node(lagging).kv(),
+        c.node(leader).kv(),
+        "the installed store, dedup set included, matches the leader's"
+    );
+
+    // The dedup set came with the snapshot: a retry of an early uid with
+    // another value is a no-op on the restarted node too.
+    let first_value = c.node(lagging).kv().get("key5").unwrap().to_vec();
+    c.put_once(10_000, "key5", b"retry", 5 + 64 * 4);
+    c.run_for(SimDuration::from_millis(500));
+    assert_eq!(c.node(lagging).kv().get("key5"), Some(&first_value[..]));
+    for &n in &c.nodes {
+        assert_eq!(c.node(n).kv(), c.node(leader).kv(), "{n} converged");
+    }
     c.check_all();
 }

@@ -70,7 +70,7 @@ impl fmt::Display for ComponentId {
 ///
 /// Components receive messages through [`Component::handle`] and interact
 /// with the world exclusively through the passed [`Ctx`].
-pub trait Component: Any + Send {
+pub trait Component: Any {
     /// Handles one message delivered at the current virtual time.
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage);
 

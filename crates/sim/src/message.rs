@@ -9,7 +9,7 @@ use std::fmt;
 
 /// A payload deliverable to a [`crate::Component`].
 ///
-/// Blanket-implemented for every `'static + Debug + Send` type, so any
+/// Blanket-implemented for every `'static + Debug` type, so any
 /// ordinary struct or enum can be sent without ceremony.
 ///
 /// # Examples
@@ -24,7 +24,7 @@ use std::fmt;
 /// let ping = boxed.downcast::<Ping>().expect("type matches");
 /// assert_eq!(*ping, Ping(7));
 /// ```
-pub trait Message: Any + fmt::Debug + Send {
+pub trait Message: Any + fmt::Debug {
     /// Borrows the message as [`Any`] for by-reference downcasting.
     fn as_any(&self) -> &dyn Any;
     /// Converts the boxed message into [`Box<dyn Any>`] for by-value
@@ -40,7 +40,7 @@ pub trait Message: Any + fmt::Debug + Send {
     fn message_type(&self) -> TypeId;
 }
 
-impl<T: Any + fmt::Debug + Send> Message for T {
+impl<T: Any + fmt::Debug> Message for T {
     fn as_any(&self) -> &dyn Any {
         self
     }

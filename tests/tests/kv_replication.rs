@@ -260,6 +260,97 @@ fn repkv_different_seeds_diverge() {
     assert_ne!(a, b, "seed change must perturb the trace");
 }
 
+/// A follower's NIC is down while the group commits hundreds of writes,
+/// so the other follower folds them into its snapshot. The leader's NIC
+/// then dies as the lagging one comes back: the survivor wins the
+/// election, and the only way the returning replica can catch up is an
+/// `InstallSnapshot` that crosses the data network fragmented by
+/// `net::frag`. It must end with the leader's store, dedup set included,
+/// under the online linearizability checker.
+#[test]
+fn lagging_replica_catches_up_through_install_snapshot() {
+    let mut bed = build_testbed(resilient_nic_config(42, 3));
+    bed.sim.add_trace_sink(Box::new(KvAudit::default()));
+    bed.enable_replicated_kv(raft_cfg());
+    bed.enable_failover(
+        FailoverConfig {
+            heartbeat_interval: SimDuration::from_millis(10),
+            missed_beats: 3,
+            ..FailoverConfig::default()
+        }
+        .fenced(),
+    );
+    let jobs = vec![JobSpec {
+        workload_id: REPKV_WORKLOAD_ID,
+        // Half writes, so the group commits well past the compaction
+        // point while the follower is down.
+        payload: PayloadSpec::RepKv(KvMix::new(8, 500, 990)),
+    }];
+    let driver = bed.sim.add(ClosedLoopDriver::new(
+        bed.gateway,
+        jobs,
+        THREADS,
+        SimDuration::from_micros(200),
+        Some(600),
+    ));
+    bed.sim
+        .post(driver, SimDuration::from_millis(100), StartDriver);
+    bed.sim
+        .run_until(SimTime::ZERO + SimDuration::from_millis(150));
+    let leader = leader_index(&bed).expect("a leader is elected before the faults");
+    let (lagging, survivor) = ((leader + 1) % 3, (leader + 2) % 3);
+    let at = bed.sim.now();
+    let handover = at + SimDuration::from_millis(80);
+    bed.inject_faults(
+        &FaultPlan::new()
+            .nic_crash(lagging, at + SimDuration::from_millis(5))
+            .nic_crash(leader, handover)
+            .nic_restart(lagging, handover)
+            .nic_restart(leader, handover + SimDuration::from_millis(400)),
+    );
+    let raft = |bed: &Testbed, i: usize| {
+        let rep = bed.sim.get::<RepKvReplica>(bed.repkv_replicas[i]).unwrap();
+        let raft = rep.raft().unwrap();
+        (raft.snapshot_index(), raft.log().len() as u64)
+    };
+    bed.sim.run_until(handover - SimDuration::from_micros(1));
+    let (lag_snap, lag_log) = raft(&bed, lagging);
+    let behind = lag_snap + lag_log;
+    let (survivor_snap, _) = raft(&bed, survivor);
+    assert!(
+        survivor_snap > behind,
+        "the survivor compacted past the lagging replica's last index \
+         {behind} (snapshot at {survivor_snap})"
+    );
+
+    bed.sim.run_until(SimTime::ZERO + SimDuration::from_secs(3));
+    assert!(
+        bed.sim.get::<ClosedLoopDriver>(driver).unwrap().is_done(),
+        "all budgeted requests must terminate"
+    );
+    let now_leader = leader_index(&bed).expect("a leader survives the run");
+    let replica = |i: usize| {
+        bed.sim
+            .get::<RepKvReplica>(bed.repkv_replicas[i])
+            .unwrap()
+            .raft()
+            .unwrap()
+    };
+    let (lag, lead) = (replica(lagging), replica(now_leader));
+    assert!(lag.snapshot_index() > behind, "caught up by snapshot");
+    assert_eq!(lag.last_applied(), lead.last_applied());
+    assert_eq!(lag.applied_digest(), lead.applied_digest());
+    assert_eq!(
+        lag.kv(),
+        lead.kv(),
+        "store and dedup set match the leader's"
+    );
+    let audit = bed.sim.trace_sink::<KvAudit>().expect("kv audit sink");
+    for &uid in &audit.acked_writes {
+        assert!(lag.kv().has_uid(uid), "acknowledged write {uid:#x} missing");
+    }
+}
+
 fn golden_cases() -> Vec<(&'static str, u64, Scenario)> {
     vec![
         ("repkv-healthy-seed42", 42, Scenario::Healthy),
