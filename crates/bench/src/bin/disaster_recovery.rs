@@ -13,7 +13,9 @@
 //!
 //! RTO here is measured per orphan: the set of client requests pending
 //! on a shard at the instant it crashes, each scored as `delivered_at -
-//! crash_at`; a cell reports the max (worst orphan) and mean.
+//! crash_at`, with `delivered_at` read off the orphan's
+//! `GwClientComplete` trace event; a cell reports the max (worst orphan)
+//! and mean.
 //!
 //! Cells (× {readopt, baseline} arms):
 //!
@@ -28,7 +30,8 @@
 //!   controller deposes the still-dark shard.
 //!
 //! Emits `results/BENCH_disaster.json`. `--smoke` shrinks the request
-//! budget for CI; `--trace=DIR` writes per-run JSONL traces.
+//! budget for CI and writes no file; `--trace=DIR` writes per-run JSONL
+//! traces.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin disaster_recovery`
 
@@ -38,7 +41,8 @@ use std::sync::Arc;
 use lnic::failover::FailoverConfig;
 use lnic::gwtier::{ShardMap, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_bench::{attach_trace, finish_trace};
+use lnic_bench::{attach_trace, finish_trace, write_results};
+use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use lnic_workloads::three_web_servers;
 
@@ -67,6 +71,24 @@ impl Cell {
             Cell::RestartStorm => "restart_storm",
             Cell::RackLoss => "rack_loss",
             Cell::CtrlCoCrash => "ctrl_co_crash",
+        }
+    }
+}
+
+/// Records when each watched client uid is delivered, from the router's
+/// `GwClientComplete` events — the per-orphan recovery-time probe.
+#[derive(Default)]
+struct DeliverySink {
+    /// Watched uid → delivery instant (`None` until delivered).
+    watched: FastMap<u64, Option<SimTime>>,
+}
+
+impl TraceSink for DeliverySink {
+    fn on_record(&mut self, rec: &TraceRecord) {
+        if let TraceEvent::GwClientComplete { uid, .. } = rec.event {
+            if let Some(slot) = self.watched.get_mut(&uid) {
+                slot.get_or_insert(rec.at);
+            }
         }
     }
 }
@@ -128,6 +150,7 @@ fn run_cell(seed: u64, cell: Cell, readopt: bool, budget: u64) -> CellResult {
         if readopt { "readopt" } else { "baseline" }
     );
     attach_trace(&mut bed, &label);
+    bed.sim.add_trace_sink(Box::<DeliverySink>::default());
 
     let jobs: Vec<JobSpec> = program
         .lambdas
@@ -189,17 +212,17 @@ fn run_cell(seed: u64, cell: Cell, readopt: bool, budget: u64) -> CellResult {
 
     // Pause just before each crash and snapshot the requests pending on
     // the shards about to die: those are the orphans the RTO is scored
-    // over.
+    // over. Each is still pending, so its delivery lies ahead of the
+    // sink.
     let mut orphans: Vec<(u64, SimTime)> = Vec::new();
     for (crash_at, shards) in &crashes {
         bed.sim.run_until(*crash_at - SimDuration::from_micros(1));
         let r = bed.sim.get::<ShardRouter>(router).unwrap();
-        for &g in shards {
-            orphans.extend(
-                r.pending_owned_by(g)
-                    .into_iter()
-                    .map(|uid| (uid, *crash_at)),
-            );
+        let stranded: Vec<u64> = shards.iter().flat_map(|&g| r.pending_owned_by(g)).collect();
+        let sink = bed.sim.trace_sink_mut::<DeliverySink>().unwrap();
+        for uid in stranded {
+            sink.watched.insert(uid, None);
+            orphans.push((uid, *crash_at));
         }
     }
     if cell == Cell::RackLoss {
@@ -218,12 +241,12 @@ fn run_cell(seed: u64, cell: Cell, readopt: bool, budget: u64) -> CellResult {
     assert!(d.is_done(), "{label}: all budgeted requests must terminate");
     let failed = d.completed().iter().filter(|c| c.failed).count() as u64;
 
-    let r = bed.sim.get::<ShardRouter>(router).unwrap();
+    let delivered = &bed.sim.trace_sink::<DeliverySink>().unwrap().watched;
     let mut rto_max = SimDuration::ZERO;
     let mut rto_sum = SimDuration::ZERO;
     let mut lost_orphans = 0usize;
     for &(uid, crash_at) in &orphans {
-        match r.delivered_at(uid) {
+        match delivered[&uid] {
             Some(t) => {
                 let rto = t.saturating_duration_since(crash_at);
                 rto_max = rto_max.max(rto);
@@ -238,7 +261,7 @@ fn run_cell(seed: u64, cell: Cell, readopt: bool, budget: u64) -> CellResult {
     } else {
         rto_sum / served as u64
     };
-    let rc = r.counters();
+    let rc = bed.sim.get::<ShardRouter>(router).unwrap().counters();
     let tc = bed
         .sim
         .get::<TierController>(controller)
@@ -421,7 +444,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_disaster.json", json).expect("write bench json");
-    println!("wrote results/BENCH_disaster.json");
+    write_results("BENCH_disaster.json", &json, smoke);
 }

@@ -14,12 +14,14 @@
 //!
 //! Emits `results/BENCH_engine.json`, tracked PR-over-PR. Run with:
 //! `cargo run --release -p lnic-bench --bin engine_throughput`
-//! (`--smoke` shrinks the load and runs one repetition for CI).
+//! (`--smoke` shrinks the load, runs one repetition for CI and writes
+//! no file).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use lnic::prelude::*;
+use lnic_bench::write_results;
 use lnic_raft::RaftConfig;
 use lnic_sim::prelude::*;
 use lnic_workloads::kv::{KvMix, REPKV_WORKLOAD_ID};
@@ -187,7 +189,5 @@ fn main() {
     );
     json.push_str("}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_engine.json", json).expect("write bench json");
-    println!("wrote results/BENCH_engine.json");
+    write_results("BENCH_engine.json", &json, smoke);
 }

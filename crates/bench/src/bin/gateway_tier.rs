@@ -22,8 +22,9 @@
 //!   crash in the middle of the crowd.
 //!
 //! Emits `results/BENCH_gateway.json` (seed, commit, per-cell goodput
-//! windows and counters). `--smoke` shrinks every run for CI;
-//! `--trace=DIR` writes per-run JSONL traces for artifact upload.
+//! windows and counters). `--smoke` shrinks every run for CI and
+//! writes no file; `--trace=DIR` writes per-run JSONL traces for
+//! artifact upload.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin gateway_tier`
 
@@ -34,7 +35,7 @@ use lnic::driver::CompletedRequest;
 use lnic::gateway::Gateway;
 use lnic::gwtier::{PlanetDriver, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_bench::{attach_trace, finish_trace};
+use lnic_bench::{attach_trace, finish_trace, write_results};
 use lnic_sim::prelude::*;
 use lnic_workloads::planet::{FlashCrowd, PlanetModel};
 use lnic_workloads::three_web_servers;
@@ -460,7 +461,5 @@ fn main() {
     );
     json.push_str("}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_gateway.json", json).expect("write bench json");
-    println!("wrote results/BENCH_gateway.json");
+    write_results("BENCH_gateway.json", &json, smoke);
 }

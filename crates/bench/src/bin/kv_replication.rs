@@ -24,7 +24,8 @@
 //! history on disk for CI to upload.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin kv_replication`
-//! (`--smoke` runs the healthy + leader-crash cells for CI).
+//! (`--smoke` runs the healthy + leader-crash cells for CI and writes
+//! no file).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -34,6 +35,7 @@ use std::io::{LineWriter, Write as _};
 use lnic::failover::FailoverConfig;
 use lnic::prelude::*;
 use lnic::repkv::RepKvReplica;
+use lnic_bench::write_results;
 use lnic_raft::{RaftConfig, Role};
 use lnic_sim::check::InvariantChecker;
 use lnic_sim::prelude::*;
@@ -529,7 +531,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/kv_replication.json", json).expect("write sweep json");
-    println!("wrote results/kv_replication.json");
+    write_results("kv_replication.json", &json, smoke);
 }

@@ -15,13 +15,13 @@
 //! Emits `results/overload_tail.json` with the sweep table.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin overload_tail`
-//! (add `--smoke` for the shortened CI variant).
+//! (add `--smoke` for the shortened CI variant, which writes no file).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use lnic::prelude::*;
-use lnic_bench::{attach_trace, finish_trace, fmt_ms};
+use lnic_bench::{attach_trace, finish_trace, fmt_ms, write_results};
 use lnic_sim::prelude::*;
 use lnic_workloads::{web_program, SuiteConfig, WEB_ID};
 
@@ -237,7 +237,5 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/overload_tail.json", json).expect("write results json");
-    println!("wrote results/overload_tail.json");
+    write_results("overload_tail.json", &json, smoke);
 }

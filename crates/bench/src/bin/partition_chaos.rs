@@ -25,13 +25,14 @@
 //! and the zombie-execution count.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin partition_chaos`
-//! (`--smoke` runs a two-point sweep for CI).
+//! (`--smoke` runs a two-point sweep for CI and writes no file).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use lnic::failover::{FailoverConfig, FailoverController, FailoverEventKind};
 use lnic::prelude::*;
+use lnic_bench::write_results;
 use lnic_sim::prelude::*;
 use lnic_sim::trace::{TraceEvent, TraceRecord, TraceSink};
 use lnic_workloads::three_web_servers;
@@ -313,7 +314,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/partition_chaos.json", json).expect("write sweep json");
-    println!("wrote results/partition_chaos.json");
+    write_results("partition_chaos.json", &json, smoke);
 }

@@ -25,13 +25,15 @@
 //! Emits `results/placement_ablation.json`.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin placement_ablation`
-//! (add `--smoke` for the shortened CI variant).
+//! (add `--smoke` for the shortened CI variant, which writes no file).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use lnic::prelude::*;
-use lnic_bench::{attach_trace, finish_trace, fmt_ms, populate_kv, KV_KEYS, THINK_TIME};
+use lnic_bench::{
+    attach_trace, finish_trace, fmt_ms, populate_kv, write_results, KV_KEYS, THINK_TIME,
+};
 use lnic_mlambda::program::{Program, WorkloadId};
 use lnic_placer::{attach_placer, install_static_split, static_costs, Placer, PlacerConfig};
 use lnic_sim::prelude::*;
@@ -329,9 +331,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/placement_ablation.json", json).expect("write results json");
-    println!("wrote results/placement_ablation.json");
+    write_results("placement_ablation.json", &json, smoke);
 
     assert!(hybrid.migrations > 0, "the placer must have migrated");
     assert!(

@@ -24,9 +24,9 @@
 //!
 //! Emits `results/tenant_ablation.json` (per-arm goodput, busy
 //! fraction, fault rate, per-tenant p99). `--smoke` shrinks the drive
-//! for CI; `--trace=PATH` streams tenant-relevant trace events as JSONL
-//! (one file per arm) so an isolation-violation panic leaves the
-//! offending history on disk for CI to upload.
+//! for CI and writes no file; `--trace=PATH` streams tenant-relevant
+//! trace events as JSONL (one file per arm) so an isolation-violation
+//! panic leaves the offending history on disk for CI to upload.
 //!
 //! Run with: `cargo run --release -p lnic-bench --bin tenant_ablation`
 
@@ -36,6 +36,7 @@ use std::io::{LineWriter, Write as _};
 use std::sync::Arc;
 
 use lnic::prelude::*;
+use lnic_bench::write_results;
 use lnic_mlambda::compile::CompileOptions;
 use lnic_nic::Nic;
 use lnic_placer::{pack, LambdaProfile, NicCapacity, PackOptions};
@@ -461,7 +462,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/tenant_ablation.json", json).expect("write ablation json");
-    println!("wrote results/tenant_ablation.json");
+    write_results("tenant_ablation.json", &json, smoke);
 }

@@ -250,6 +250,20 @@ pub fn fmt_ms(ns: f64) -> String {
     format!("{:.4}", ns / 1e6)
 }
 
+/// Writes a bench's JSON artifact to `results/<file>`. A `--smoke` run
+/// writes nothing: its numbers are CI-scale and must never replace a
+/// committed artifact.
+pub fn write_results(file: &str, json: &str, smoke: bool) {
+    let path = format!("results/{file}");
+    if smoke {
+        println!("smoke run: {path} not written");
+        return;
+    }
+    std::fs::create_dir_all("results").expect("create results dir");
+    std::fs::write(&path, json).expect("write results json");
+    println!("wrote {path}");
+}
+
 /// Prints an ECDF as `value_ms fraction` rows, downsampled to at most
 /// `points` rows (gnuplot/matplotlib-ready).
 pub fn print_ecdf(label: &str, series: &Series, points: usize) {

@@ -4,7 +4,7 @@
 //! The gateway "inserts the ID of the destined lambda as a new header"
 //! (§4.1) on every request, fragments large payloads into RDMA writes,
 //! tracks outstanding RPCs with timeout-based retransmission, and
-//! records the wire-to-wire latency of every completed request — the
+//! stamps the wire-to-wire latency on every completion it returns — the
 //! measurement Figures 6–8 report. As a host process, the gateway has
 //! finite per-request processing capacity, modeled as serialized
 //! occupancy (`proxy_cost`), which is what bounds λ-NIC's aggregate
@@ -452,8 +452,6 @@ pub struct Gateway {
     /// Serialized proxy occupancy.
     busy_until: SimTime,
     counters: GatewayCounters,
-    /// Wire-to-wire latency per workload id.
-    latency: FastMap<u32, Series>,
     next_ident: u16,
     /// Admission gate (None admits everything).
     admission: Option<Admission>,
@@ -540,7 +538,6 @@ impl Gateway {
             meta: FastMap::default(),
             busy_until: SimTime::ZERO,
             counters: GatewayCounters::default(),
-            latency: FastMap::default(),
             next_ident: 0,
             admission,
             endpoint_depth: FastMap::default(),
@@ -754,16 +751,6 @@ impl Gateway {
     /// (network duplicates, or both arms of a hedge answering).
     pub fn duplicate_replies(&self) -> u64 {
         self.tracker.duplicates()
-    }
-
-    /// Wire-to-wire latencies recorded for a workload.
-    pub fn latency(&self, workload_id: u32) -> Option<&Series> {
-        self.latency.get(&workload_id)
-    }
-
-    /// All latency series.
-    pub fn latencies(&self) -> impl Iterator<Item = (u32, &Series)> {
-        self.latency.iter().map(|(k, v)| (*k, v))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1453,10 +1440,6 @@ impl Gateway {
             latency_ns: latency.as_nanos(),
             failed: false,
         });
-        self.latency
-            .entry(done.workload_id)
-            .or_insert_with(|| Series::new(format!("w{}", done.workload_id)))
-            .record(latency);
         self.window
             .entry(done.workload_id)
             .or_insert_with(|| Series::new("window"))

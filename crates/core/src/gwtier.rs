@@ -569,14 +569,11 @@ pub struct ShardRouter {
     gateways: Vec<ComponentId>,
     map: Arc<ShardMap>,
     cfg: TierConfig,
+    /// The last uid issued. Uids only ever increase, so a uid has been
+    /// delivered exactly when it is ≤ `next_uid` and no longer pending —
+    /// the exactly-once filter needs no per-request record.
     next_uid: u64,
     pending: FastMap<u64, PendingClient>,
-    /// Uid → delivery instant for every completion delivered — the
-    /// exactly-once filter, and the recovery-time probe the disaster
-    /// bench reads. Grows for the life of the run (simulation memory,
-    /// not a production design; a real router would age this out by
-    /// lease).
-    delivered: FastMap<u64, SimTime>,
     counters: RouterCounters,
     /// Direct peers currently cut (component index → until).
     cut_from: FastMap<usize, SimTime>,
@@ -597,7 +594,6 @@ impl ShardRouter {
             cfg,
             next_uid: 0,
             pending: FastMap::default(),
-            delivered: FastMap::default(),
             counters: RouterCounters::default(),
             cut_from: FastMap::default(),
         }
@@ -616,12 +612,6 @@ impl ShardRouter {
     /// Client requests routed but not yet delivered.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// When the completion for `uid` was delivered to its client, if it
-    /// has been — the disaster bench's per-orphan recovery-time probe.
-    pub fn delivered_at(&self, uid: u64) -> Option<SimTime> {
-        self.delivered.get(&uid).copied()
     }
 
     /// The pending client uids currently owned by `gateway`, sorted —
@@ -695,7 +685,6 @@ impl ShardRouter {
         let Some(p) = self.pending.remove(&uid) else {
             return;
         };
-        self.delivered.insert(uid, ctx.now());
         let gateway = p.owner;
         let failed = done.failed;
         ctx.emit(|| TraceEvent::GwClientComplete {
@@ -725,14 +714,10 @@ impl ShardRouter {
 
     fn on_done(&mut self, ctx: &mut Ctx<'_>, done: RequestDone) {
         let uid = done.token;
-        if self.delivered.contains_key(&uid) {
-            // A second completion for an already-delivered request: the
+        let Some(p) = self.pending.get(&uid) else {
+            // Not pending, so already delivered (or never issued): the
             // orphaned copy of a handoff, or both sides of a partition
             // answering. Exactly-once means exactly this suppression.
-            self.counters.duplicates += 1;
-            return;
-        }
-        let Some(p) = self.pending.get(&uid) else {
             self.counters.duplicates += 1;
             return;
         };
@@ -793,7 +778,7 @@ impl ShardRouter {
         // map: the fast path that makes a crash lose zero acked work.
         // Requests a draining shard handed off may be re-executed by
         // their new hash owner too — at-least-once execution, with the
-        // delivered-set guaranteeing exactly-once completion.
+        // pending-set filter guaranteeing exactly-once completion.
         let mut stale: Vec<u64> = self
             .pending
             .iter()
@@ -1832,6 +1817,74 @@ mod tests {
         assert_eq!(map.successor(2), Some(0));
         let solo = ShardMap::new(1, &[4], 8);
         assert_eq!(solo.successor(4), None);
+    }
+
+    /// Stands in for a gateway shard: answers every submit twice, the
+    /// second copy 1 ms after the first (a handoff's orphaned copy
+    /// answering late).
+    struct AnswersTwice;
+
+    impl Component for AnswersTwice {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+            let req = msg.downcast::<SubmitRequest>().expect("submit");
+            for delay in [SimDuration::from_micros(10), SimDuration::from_millis(1)] {
+                ctx.send(
+                    req.reply_to,
+                    delay,
+                    RequestDone {
+                        token: req.token,
+                        workload_id: req.workload_id,
+                        latency: delay,
+                        sojourn: delay,
+                        return_code: Some(0),
+                        response: Bytes::new(),
+                        failed: false,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Records the token of every completion delivered to it.
+    #[derive(Default)]
+    struct Client {
+        tokens: Vec<u64>,
+    }
+
+    impl Component for Client {
+        fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
+            self.tokens
+                .push(msg.downcast::<RequestDone>().expect("completion").token);
+        }
+    }
+
+    #[test]
+    fn late_duplicate_completion_is_counted_and_never_delivered() {
+        let mut sim = Simulation::new(1);
+        let shard = sim.add(AnswersTwice);
+        let client = sim.add(Client::default());
+        let cfg = TierConfig::default();
+        let map = Arc::new(ShardMap::new(1, &[0], cfg.vnodes));
+        let router = sim.add(ShardRouter::new(vec![shard], map, cfg));
+        for token in 1..=3 {
+            sim.post(
+                router,
+                SimDuration::from_micros(token),
+                ClientSubmit {
+                    client_id: token,
+                    workload_id: 7,
+                    payload: Bytes::new(),
+                    reply_to: client,
+                    token,
+                },
+            );
+        }
+        sim.run();
+        assert_eq!(sim.get::<Client>(client).unwrap().tokens, vec![1, 2, 3]);
+        let r = sim.get::<ShardRouter>(router).unwrap();
+        let c = r.counters();
+        assert_eq!((c.routed, c.delivered, c.duplicates), (3, 3, 3));
+        assert_eq!(r.pending_len(), 0);
     }
 
     #[test]

@@ -184,8 +184,6 @@ pub struct HostBackend {
 
     counters: HostCounters,
     cpu_busy: SimDuration,
-    service_time: Series,
-    arrivals: FastMap<(usize, u64), SimTime>,
     in_flight: usize,
 
     crashed: bool,
@@ -235,8 +233,6 @@ impl HostBackend {
             reassembler: Reassembler::new(),
             counters: HostCounters::default(),
             cpu_busy: SimDuration::ZERO,
-            service_time: Series::new("host_service_time"),
-            arrivals: FastMap::default(),
             in_flight: 0,
             crashed: false,
             restart_epoch: 0,
@@ -345,12 +341,6 @@ impl HostBackend {
         let tx = self.tx_latency(ctx);
         ctx.send(self.uplink, tx, packet);
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.arrivals.remove(&(pending.lambda_idx, hdr.request_id));
-    }
-
-    /// Host-side service-time samples.
-    pub fn service_time(&self) -> &Series {
-        &self.service_time
     }
 
     /// Accumulated CPU busy time (incl. container engine overhead).
@@ -429,7 +419,6 @@ impl HostBackend {
         self.gil_waiters.clear();
         self.executor_last_lambda = None;
         self.reassembler = Reassembler::new();
-        self.arrivals.clear();
         self.in_flight = 0;
         // The process image is gone; remember what was deployed so a
         // restart can re-provision it.
@@ -610,7 +599,6 @@ impl HostBackend {
         };
         let mut reply_template = packet;
         reply_template.payload = Bytes::new();
-        self.arrivals.insert((lambda, hdr.request_id), ctx.now());
         let pending = PendingRequest {
             lambda_idx: lambda,
             ctx: req,
@@ -643,7 +631,6 @@ impl HostBackend {
         let tx = self.tx_latency(ctx);
         ctx.send(self.uplink, tx, packet);
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.arrivals.remove(&(pending.lambda_idx, hdr.request_id));
     }
 
     fn on_request_ready(&mut self, ctx: &mut Ctx<'_>, pending: PendingRequest) {
@@ -996,12 +983,6 @@ impl HostBackend {
         ctx.send(self.uplink, tx, packet);
         self.counters.responses += 1;
         self.in_flight = self.in_flight.saturating_sub(1);
-        if let Some(arrived) = self
-            .arrivals
-            .remove(&(job.lambda_idx, job.req_hdr.request_id))
-        {
-            self.service_time.record(ctx.now() + tx - arrived);
-        }
     }
 
     fn free_worker(&mut self, ctx: &mut Ctx<'_>, worker: usize) {

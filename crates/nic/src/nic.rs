@@ -339,9 +339,6 @@ pub struct Nic {
     reassembler: Reassembler,
 
     counters: NicCounters,
-    /// Per-request NIC-side service time (arrival to response emission).
-    service_time: Series,
-    arrival_times: FastMap<(usize, u64), SimTime>,
     /// Pipelined mode: next-free times of the parse/match stage threads.
     stage_free_at: Vec<SimTime>,
 }
@@ -400,8 +397,6 @@ impl Nic {
             tenancy: None,
             reassembler: Reassembler::new(),
             counters: NicCounters::default(),
-            service_time: Series::new("nic_service_time"),
-            arrival_times: FastMap::default(),
             stage_free_at,
         }
     }
@@ -529,11 +524,6 @@ impl Nic {
         self.counters
     }
 
-    /// NIC-side service-time samples (arrival to response emission).
-    pub fn service_time(&self) -> &Series {
-        &self.service_time
-    }
-
     /// Bytes of NIC memory the current deployment occupies (Table 3):
     /// the image plus the runtime's resident allocations.
     pub fn memory_in_use_bytes(&self) -> u64 {
@@ -612,8 +602,6 @@ impl Nic {
             .payload(Bytes::new())
             .build();
         ctx.send(self.uplink, SimDuration::ZERO, packet);
-        self.arrival_times
-            .remove(&(pending.lambda_idx, hdr.request_id));
     }
 
     /// Decodes and installs `firmware`, returning whether it was taken.
@@ -663,7 +651,6 @@ impl Nic {
             rt.cache = FirmwareCache::new(rt.cfg.cache_words);
         }
         self.reassembler = Reassembler::new();
-        self.arrival_times.clear();
         self.resident_pending.clear();
         for slot in &mut self.stage_free_at {
             *slot = SimTime::ZERO;
@@ -925,8 +912,6 @@ impl Nic {
                     req_hdr: hdr,
                     extra_cycles,
                 };
-                self.arrival_times
-                    .insert((lambda, hdr.request_id), ctx.now());
                 match self.params.exec_mode {
                     ExecMode::RunToCompletion => self.admit_to_thread(ctx, pending),
                     ExecMode::Pipelined { handoff_cycles, .. } => {
@@ -972,8 +957,6 @@ impl Nic {
             .payload(Bytes::new())
             .build();
         ctx.send(self.uplink, SimDuration::ZERO, packet);
-        self.arrival_times
-            .remove(&(pending.lambda_idx, hdr.request_id));
     }
 
     /// Assigns the request to an idle lambda thread or queues it.
@@ -1286,12 +1269,6 @@ impl Nic {
             .build();
         ctx.send(self.uplink, SimDuration::ZERO, packet);
         self.counters.responses += 1;
-        if let Some(arrived) = self
-            .arrival_times
-            .remove(&(job.lambda_idx, job.req_hdr.request_id))
-        {
-            self.service_time.record(ctx.now() - arrived);
-        }
     }
 
     fn free_thread(&mut self, ctx: &mut Ctx<'_>, thread: usize, finished_tenant: TenantId) {

@@ -358,6 +358,40 @@ impl KeyHistory {
     }
 }
 
+/// The client uids delivered so far (invariant 14), held as a watermark
+/// plus a sparse set: every uid in `1..=through` was delivered, and
+/// `above` holds the other delivered uids. The router issues uids in
+/// increasing order and delivers most in order, so `above` holds only
+/// what was delivered after the oldest undelivered uid, and the whole
+/// set stays as small as the requests in flight, not the run.
+#[derive(Debug, Default)]
+struct DeliveredUids {
+    through: u64,
+    above: FastSet<u64>,
+}
+
+impl DeliveredUids {
+    fn contains(&self, uid: u64) -> bool {
+        (1..=self.through).contains(&uid) || self.above.contains(&uid)
+    }
+
+    /// Marks `uid` delivered; the caller has checked it was not.
+    fn insert(&mut self, uid: u64) {
+        if uid != self.through + 1 {
+            self.above.insert(uid);
+            return;
+        }
+        self.through = uid;
+        while self.above.remove(&(self.through + 1)) {
+            self.through += 1;
+        }
+    }
+
+    fn len(&self) -> u64 {
+        self.through + self.above.len() as u64
+    }
+}
+
 /// The online checker; see the module docs for the invariant list.
 pub struct InvariantChecker {
     panic_on_violation: bool,
@@ -431,7 +465,7 @@ pub struct InvariantChecker {
     gw_epochs: FastMap<u32, u64>,
     deposed_gateways: FastMap<u32, u64>,
     client_outstanding: FastSet<u64>,
-    client_delivered: FastSet<u64>,
+    client_delivered: DeliveredUids,
     handed_off: u64,
 
     // Tier-controller snapshot/restore (invariant 15). Kept separate
@@ -487,7 +521,7 @@ impl InvariantChecker {
             gw_epochs: FastMap::default(),
             deposed_gateways: FastMap::default(),
             client_outstanding: FastSet::default(),
-            client_delivered: FastSet::default(),
+            client_delivered: DeliveredUids::default(),
             handed_off: 0,
             tier_snapshot_seqs: FastSet::default(),
             tier_last_snap_seq: 0,
@@ -548,7 +582,7 @@ impl InvariantChecker {
     /// Routed client requests delivered exactly one client-visible
     /// completion so far (invariant 14).
     pub fn clients_delivered(&self) -> u64 {
-        self.client_delivered.len() as u64
+        self.client_delivered.len()
     }
 
     /// The last shard-map epoch installed by the tier controller
@@ -1621,14 +1655,14 @@ impl TraceSink for InvariantChecker {
             }
             TraceEvent::GwClientSubmit { uid, .. } => {
                 self.tier_active = true;
-                if self.client_delivered.contains(&uid) || !self.client_outstanding.insert(uid) {
+                if self.client_delivered.contains(uid) || !self.client_outstanding.insert(uid) {
                     let msg = format!("client request {uid} routed twice");
                     self.violation(rec.at, msg);
                 }
             }
             TraceEvent::GwClientComplete { uid, gateway, .. } => {
                 self.tier_active = true;
-                if self.client_delivered.contains(&uid) {
+                if self.client_delivered.contains(uid) {
                     let msg = format!(
                         "exactly-once violated: client request {uid} delivered a \
                          second completion (from gateway {gateway})"
@@ -3419,6 +3453,167 @@ mod tests {
             "{:?}",
             c.violations()
         );
+    }
+
+    fn client_submit(uid: u64) -> TraceEvent {
+        TraceEvent::GwClientSubmit {
+            uid,
+            client_id: uid,
+            gateway: 0,
+        }
+    }
+
+    fn client_complete(uid: u64) -> TraceEvent {
+        TraceEvent::GwClientComplete {
+            uid,
+            gateway: 0,
+            failed: false,
+        }
+    }
+
+    /// Uids 1..=5 routed; 1, 2, 3 and 5 delivered. Uid 4 is still
+    /// pending, so the watermark stops at 3 and uid 5 sits in the
+    /// sparse set.
+    fn tier_with_gap() -> InvariantChecker {
+        let mut c = InvariantChecker::collecting();
+        for uid in 1..=5 {
+            feed(&mut c, &[(uid, 9, client_submit(uid))]);
+        }
+        for uid in [1, 2, 3, 5] {
+            feed(&mut c, &[(10 + uid, 9, client_complete(uid))]);
+        }
+        assert_eq!(c.client_delivered.through, 3);
+        assert_eq!(c.client_delivered.above.len(), 1);
+        assert_eq!(c.clients_delivered(), 4);
+        c.assert_clean();
+        c
+    }
+
+    fn only_violation(c: &InvariantChecker, needle: &str) {
+        assert_eq!(c.violations().len(), 1, "{:?}", c.violations());
+        assert!(c.violations()[0].contains(needle), "{:?}", c.violations());
+    }
+
+    #[test]
+    fn client_rule_violations_fire_below_the_watermark_and_in_the_sparse_set() {
+        // 2 is below the watermark, 5 is in the sparse set.
+        for uid in [2, 5] {
+            let mut c = tier_with_gap();
+            feed(&mut c, &[(20, 9, client_submit(uid))]);
+            only_violation(&c, &format!("client request {uid} routed twice"));
+
+            let mut c = tier_with_gap();
+            feed(&mut c, &[(20, 9, client_complete(uid))]);
+            only_violation(
+                &c,
+                &format!("client request {uid} delivered a second completion"),
+            );
+        }
+        // A completion for a uid that was never routed: in the gap just
+        // above the watermark, further above it outside the sparse set,
+        // and uid 0, which the watermark never covers.
+        for uid in [4, 6, 0] {
+            let mut c = InvariantChecker::collecting();
+            for routed in [1, 2, 3, 5] {
+                feed(&mut c, &[(2 * routed, 9, client_submit(routed))]);
+                feed(&mut c, &[(2 * routed + 1, 9, client_complete(routed))]);
+            }
+            feed(&mut c, &[(20, 9, client_complete(uid))]);
+            only_violation(
+                &c,
+                &format!("client request {uid} completed (gateway 0) without a routed submission"),
+            );
+        }
+        // The stuck uid still completes cleanly and closes the gap.
+        let mut c = tier_with_gap();
+        feed(&mut c, &[(20, 9, client_complete(4))]);
+        c.assert_clean();
+        assert_eq!(c.client_delivered.through, 5);
+        assert!(c.client_delivered.above.is_empty());
+    }
+
+    #[test]
+    fn in_order_deliveries_leave_the_sparse_set_empty() {
+        let mut c = InvariantChecker::collecting();
+        for uid in 1..=100_000u64 {
+            feed(&mut c, &[(uid, 9, client_submit(uid))]);
+            feed(&mut c, &[(uid, 9, client_complete(uid))]);
+        }
+        c.assert_clean();
+        assert_eq!(c.clients_delivered(), 100_000);
+        assert_eq!(c.client_delivered.through, 100_000);
+        assert!(c.client_delivered.above.is_empty());
+    }
+
+    #[test]
+    fn one_stuck_uid_holds_only_the_deliveries_after_it() {
+        let stuck = 100u64;
+        let mut c = InvariantChecker::collecting();
+        let mut after_stuck = 0;
+        for uid in 1..=5_000u64 {
+            feed(&mut c, &[(uid, 9, client_submit(uid))]);
+            if uid != stuck {
+                feed(&mut c, &[(uid, 9, client_complete(uid))]);
+                if uid > stuck {
+                    after_stuck += 1;
+                }
+            }
+            assert!(c.client_delivered.above.len() <= after_stuck);
+        }
+        assert_eq!(c.client_delivered.through, stuck - 1);
+        assert_eq!(c.client_delivered.above.len(), after_stuck);
+        feed(&mut c, &[(6_000, 9, client_complete(stuck))]);
+        c.assert_clean();
+        assert_eq!(c.client_delivered.through, 5_000);
+        assert!(c.client_delivered.above.is_empty());
+    }
+
+    #[test]
+    fn client_rule_matches_a_full_delivered_set() {
+        // Random submit/complete streams over a small uid space, duplicates
+        // and unrouted uids included, must give exactly the verdicts of
+        // the plain "every uid ever delivered" set the watermark replaces.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200 {
+            let mut c = InvariantChecker::collecting();
+            let mut delivered: FastSet<u64> = FastSet::default();
+            let mut outstanding: FastSet<u64> = FastSet::default();
+            let mut expected = Vec::new();
+            for at in 0..300u64 {
+                let r = next();
+                let uid = (r >> 8) % 24;
+                if r & 1 == 0 {
+                    feed(&mut c, &[(at, 9, client_submit(uid))]);
+                    if delivered.contains(&uid) || !outstanding.insert(uid) {
+                        expected.push(format!("client request {uid} routed twice"));
+                    }
+                } else {
+                    feed(&mut c, &[(at, 9, client_complete(uid))]);
+                    if delivered.contains(&uid) {
+                        expected.push(format!(
+                            "client request {uid} delivered a second completion"
+                        ));
+                    } else if !outstanding.remove(&uid) {
+                        expected.push(format!(
+                            "client request {uid} completed (gateway 0) without a routed submission"
+                        ));
+                    } else {
+                        delivered.insert(uid);
+                    }
+                }
+            }
+            assert_eq!(c.violations().len(), expected.len(), "{:?}", c.violations());
+            for (got, want) in c.violations().iter().zip(&expected) {
+                assert!(got.contains(want.as_str()), "{got} vs {want}");
+            }
+            assert_eq!(c.clients_delivered(), delivered.len() as u64);
+        }
     }
 
     #[test]

@@ -89,9 +89,11 @@ impl Series {
         if self.samples_ns.is_empty() {
             return None;
         }
-        let mut sorted = self.samples_ns.clone();
-        sorted.sort_unstable();
-        Some(sorted[nearest_rank(q, sorted.len())])
+        // The nearest-rank element is the rank-th smallest: a selection
+        // finds it in linear time, with no full sort of the copy.
+        let mut samples = self.samples_ns.clone();
+        let rank = nearest_rank(q, samples.len());
+        Some(*samples.select_nth_unstable(rank).1)
     }
 
     /// Merges another series' samples into this one.
@@ -481,6 +483,20 @@ mod tests {
             prop_assert!(s.p99_ns <= s.p999_ns);
             prop_assert!(s.p999_ns <= s.max_ns);
             prop_assert!(s.mean_ns >= s.min_ns as f64 && s.mean_ns <= s.max_ns as f64);
+        }
+
+        #[test]
+        fn quantile_matches_the_sorted_reference(
+            samples in proptest::collection::vec(0u64..1_000, 1..300),
+            q in 0.0f64..=1.0,
+        ) {
+            let series: Series = samples.iter().map(|&v| SimDuration::from_nanos(v)).collect();
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(series.quantile_ns(q), Some(sorted[nearest_rank(q, sorted.len())]));
+            for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+                prop_assert_eq!(series.quantile_ns(q), Some(sorted[nearest_rank(q, sorted.len())]));
+            }
         }
 
         #[test]
