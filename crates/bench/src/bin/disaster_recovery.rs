@@ -41,7 +41,7 @@ use std::sync::Arc;
 use lnic::failover::FailoverConfig;
 use lnic::gwtier::{ShardMap, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_bench::{attach_trace, finish_trace, write_results};
+use lnic_bench::{attach_trace, commit_id, finish_trace, write_results};
 use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use lnic_workloads::three_web_servers;
@@ -295,22 +295,6 @@ fn run_cell(seed: u64, cell: Cell, readopt: bool, budget: u64) -> CellResult {
     assert_eq!(res.lost_orphans, 0, "{label}: every orphan must be served");
     assert!(res.orphans > 0, "{label}: the fault must orphan something");
     res
-}
-
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn ms(d: SimDuration) -> f64 {

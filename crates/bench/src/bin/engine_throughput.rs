@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use lnic::prelude::*;
-use lnic_bench::write_results;
+use lnic_bench::{commit_id, write_results};
 use lnic_raft::RaftConfig;
 use lnic_sim::prelude::*;
 use lnic_workloads::kv::{KvMix, REPKV_WORKLOAD_ID};
@@ -91,22 +91,6 @@ fn run_rep(seed: u64, load: &Load) -> Rep {
         wall_s: start.elapsed().as_secs_f64(),
         end_ms: bed.sim.now().as_millis_f64(),
     }
-}
-
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn main() {

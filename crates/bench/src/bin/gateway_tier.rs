@@ -35,7 +35,7 @@ use lnic::driver::CompletedRequest;
 use lnic::gateway::Gateway;
 use lnic::gwtier::{PlanetDriver, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_bench::{attach_trace, finish_trace, write_results};
+use lnic_bench::{attach_trace, commit_id, finish_trace, write_results};
 use lnic_sim::prelude::*;
 use lnic_workloads::planet::{FlashCrowd, PlanetModel};
 use lnic_workloads::three_web_servers;
@@ -293,22 +293,6 @@ fn run_flash_crowd(seed: u64, smoke: bool) -> CrowdResult {
         adopted,
         hedges_fired,
     }
-}
-
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn arm_json(r: &ArmResult) -> String {

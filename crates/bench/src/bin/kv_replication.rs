@@ -35,7 +35,7 @@ use std::io::{LineWriter, Write as _};
 use lnic::failover::FailoverConfig;
 use lnic::prelude::*;
 use lnic::repkv::RepKvReplica;
-use lnic_bench::write_results;
+use lnic_bench::{commit_id, write_results};
 use lnic_raft::{RaftConfig, Role};
 use lnic_sim::check::InvariantChecker;
 use lnic_sim::prelude::*;
@@ -406,22 +406,6 @@ fn baseline_p99_ms() -> f64 {
             rest.split([',', '}']).next()?.trim().parse().ok()
         })
         .unwrap_or(FALLBACK_BASELINE_P99_MS)
-}
-
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn main() {

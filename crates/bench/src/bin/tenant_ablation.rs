@@ -36,7 +36,7 @@ use std::io::{LineWriter, Write as _};
 use std::sync::Arc;
 
 use lnic::prelude::*;
-use lnic_bench::write_results;
+use lnic_bench::{commit_id, write_results};
 use lnic_mlambda::compile::CompileOptions;
 use lnic_nic::Nic;
 use lnic_placer::{pack, LambdaProfile, NicCapacity, PackOptions};
@@ -341,22 +341,6 @@ fn run_arm(seed: u64, virtualized: bool, per_thread: u64, trace: Option<&str>) -
         per_tenant_p99_ms,
         violations,
     }
-}
-
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn main() {

@@ -250,6 +250,25 @@ pub fn fmt_ms(ns: f64) -> String {
     format!("{:.4}", ns / 1e6)
 }
 
+/// The commit a result was produced at, recorded in `results/` JSON:
+/// `LNIC_COMMIT`, else `GITHUB_SHA`, else `git rev-parse HEAD`, else
+/// `"unknown"`.
+pub fn commit_id() -> String {
+    std::env::var("LNIC_COMMIT")
+        .ok()
+        .or_else(|| std::env::var("GITHUB_SHA").ok())
+        .or_else(|| {
+            std::process::Command::new("git")
+                .args(["rev-parse", "HEAD"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+        })
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 /// Writes a bench's JSON artifact to `results/<file>`. A `--smoke` run
 /// writes nothing: its numbers are CI-scale and must never replace a
 /// committed artifact.

@@ -869,17 +869,14 @@ impl Testbed {
             .iter()
             .map(|w| (w.component, w.endpoint()))
             .collect();
-        let mut controller = FailoverController::new(cfg, self.gateway, worker_table);
+        // A gateway tier enabled first: epoch/fencing commands broadcast
+        // to every shard, not just the primary.
+        let mut controller = FailoverController::new(cfg, self.gateways.clone(), worker_table);
         if let Some(planner) = planner {
             controller = controller.with_planner(planner);
         }
         for &(workload_id, worker_index) in &self.placements {
             controller.track_placement(workload_id, worker_index);
-        }
-        // A gateway tier enabled first: epoch/fencing commands broadcast
-        // to every shard, not just the primary.
-        for &extra in self.gateways.iter().skip(1) {
-            controller.add_gateway(extra);
         }
         let id = self.sim.add(controller);
         // Feed the controller every gateway's per-endpoint latency

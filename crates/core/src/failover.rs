@@ -21,7 +21,8 @@
 //! worker the controller cannot reach may still be serving traffic, and
 //! re-placing its workloads creates two live owners (split brain). With
 //! fencing enabled the controller instead grants **bounded leases**
-//! carrying monotonically increasing **epochs** ([`GrantLease`]):
+//! carrying monotonically increasing **epochs**
+//! ([`GrantLease`](lnic_sim::fault::GrantLease)):
 //!
 //! - A worker serves only while its lease is live, and stamps its epoch
 //!   on every reply; work carrying an older epoch is refused with
@@ -42,13 +43,15 @@
 //! a crash-restarted control plane ([`lnic_sim::fault::Crash`] /
 //! [`lnic_sim::fault::Restart`]) resumes from the last snapshot and
 //! reconciles against worker-reported epochs ([`EpochQuery`]).
+//!
+//! The lease round, the liveness tally, and the crash/restart/partition
+//! lifecycle are the shared membership core in [`crate::lease`]; the
+//! gateway tier's [`crate::gwtier::TierController`] runs on the same
+//! core. This controller adds what is worker-specific: endpoints,
+//! placements, and the fail-slow detector.
 
 use lnic_net::transport::UpdateService;
-use lnic_net::MacAddr;
-use lnic_sim::fault::{
-    Crash, EpochQuery, EpochReport, GrantLease, HealthPing, HealthPong, LeaseAck, NetCutFrom,
-    Restart,
-};
+use lnic_sim::fault::{EpochQuery, EpochReport, HealthPing, HealthPong, LeaseAck};
 use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
@@ -56,6 +59,7 @@ use crate::gateway::{
     AddPlacement, EndpointLatencyReport, FenceWorker, RemoveWorkerEndpoints, SetWorkerEpoch,
     WorkerEndpoint,
 };
+use crate::lease::{ControlPlane, ControllerView, Decision, Grant, Member, Membership, Timing};
 
 /// Health-check timing and thresholds.
 #[derive(Clone, Copy, Debug)]
@@ -144,19 +148,6 @@ pub struct ReplanRequest {
     pub recovered: bool,
 }
 
-#[derive(Debug)]
-struct Beat {
-    /// Generation at arming; a crash-restart bumps the generation so
-    /// pre-crash timers cannot double the beat loop.
-    gen: u64,
-}
-
-/// Self-timer: take the next periodic stable snapshot.
-#[derive(Debug)]
-struct SnapTick {
-    gen: u64,
-}
-
 /// Self-timer: a quarantined worker's probation is over.
 #[derive(Debug)]
 struct ProbationEnd {
@@ -211,8 +202,6 @@ pub struct FailoverEvent {
 /// Failover statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FailoverCounters {
-    /// Heartbeat rounds completed.
-    pub beats: u64,
     /// Workers declared dead.
     pub deaths: u64,
     /// Workers re-admitted after recovery.
@@ -225,13 +214,10 @@ pub struct FailoverCounters {
     pub quarantine_lifts: u64,
 }
 
+/// Worker-only state, indexed like the control plane's member table
+/// (which holds the lease view and the liveness tally).
 struct WorkerHealth {
-    component: ComponentId,
     endpoint: WorkerEndpoint,
-    /// Consecutive silent heartbeat rounds.
-    missed: u32,
-    /// Answered the probe of the current round.
-    ponged: bool,
     alive: bool,
     /// EWMA of reported request latency, in ns (None until first report).
     ewma_ns: Option<f64>,
@@ -239,16 +225,6 @@ struct WorkerHealth {
     slow_strikes: u32,
     /// Ejected by the fail-slow detector (still answers heartbeats).
     quarantined: bool,
-    /// The worker's fencing token (fencing mode; 0 before the regime
-    /// starts, then ≥ 1, bumped on every rejoin).
-    epoch: u64,
-    /// Expiry of the last lease granted to this worker, as recorded at
-    /// grant time. An upper bound on the worker's own view: lost grants
-    /// only make the worker's lease *shorter*.
-    lease_until: SimTime,
-    /// Fenced: lease provably expired, placements re-homed, awaiting
-    /// the rejoin handshake.
-    fenced: bool,
 }
 
 /// Stable-storage image of the controller's membership + placement
@@ -263,161 +239,93 @@ struct Snapshot {
     origin: Vec<(u32, usize)>,
 }
 
-/// The health-check + failover controller component.
+/// The health-check + failover controller component: a worker-tier
+/// adapter over the shared lease-membership core ([`crate::lease`]).
 pub struct FailoverController {
     cfg: FailoverConfig,
-    gateway: ComponentId,
+    /// Every gateway shard, primary first: each mirrors every
+    /// gateway-directed reconfiguration (placement withdrawals, worker
+    /// epochs, fence floors, re-placements), so all of them stop
+    /// routing at a dead worker.
+    gateways: Vec<ComponentId>,
     workers: Vec<WorkerHealth>,
+    /// Member table, lease views, and the crash/restart lifecycle.
+    plane: ControlPlane,
     /// Current primary home of each workload (index into `workers`).
     home: FastMap<u32, usize>,
     /// Where each workload was homed at setup (restored on recovery).
     origin: FastMap<u32, usize>,
-    started: bool,
     counters: FailoverCounters,
     events: Vec<FailoverEvent>,
     /// When set, death/recovery re-placement decisions are delegated to
     /// this planner via [`ReplanRequest`] instead of applied directly.
     planner: Option<ComponentId>,
-    /// Peers this controller is partitioned from (by component index),
-    /// and until when; their acks/pongs/reports are dropped.
-    cut_from: FastMap<usize, SimTime>,
-    /// Crashed control plane: silent until a [`Restart`].
-    crashed: bool,
     /// Last stable snapshot (survives crashes — modeled stable storage).
     stable: Option<Snapshot>,
-    /// Monotonic snapshot sequence (also survives crashes).
-    snap_seq: u64,
-    /// Current beat-timer generation (see [`Beat`]).
-    beat_gen: u64,
-    /// Current snapshot-timer generation.
-    snap_gen: u64,
-    /// Monotonic lease-grant sequence.
-    lease_seq: u64,
     /// Workload → service id routes to broadcast ([`UpdateService`])
     /// when a re-placement moves the workload.
     service_routes: FastMap<u32, u16>,
-    /// A restore happened; emit `SnapshotRestored` (with the count of
-    /// workers whose reported epoch was ahead) on the next beat, after
-    /// the zero-delay [`EpochReport`]s have arrived.
-    restore_pending: Option<(u64, u64)>,
-    /// Additional gateway shards mirroring every gateway-directed
-    /// reconfiguration — placement withdrawals, worker epochs, fence
-    /// floors, re-placements. A gateway tier registers its extra shards
-    /// here so all of them stop routing at a dead worker, not just the
-    /// primary.
-    extra_gateways: Vec<ComponentId>,
 }
 
 impl FailoverController {
     /// Creates a controller over `workers` (component + gateway-visible
-    /// endpoint) that reconfigures `gateway` on failures.
+    /// endpoint) that reconfigures every gateway in `gateways` (primary
+    /// first) on failures.
     pub fn new(
         cfg: FailoverConfig,
-        gateway: ComponentId,
+        gateways: Vec<ComponentId>,
         workers: Vec<(ComponentId, WorkerEndpoint)>,
     ) -> Self {
+        let (members, workers) = workers
+            .into_iter()
+            .map(|(component, endpoint)| {
+                (
+                    // Epoch 0 until the fencing regime starts.
+                    Member::new(component, 0),
+                    WorkerHealth {
+                        endpoint,
+                        alive: true,
+                        ewma_ns: None,
+                        slow_strikes: 0,
+                        quarantined: false,
+                    },
+                )
+            })
+            .unzip();
+        let timing = Timing {
+            round: cfg.heartbeat_interval,
+            lease: cfg.lease_duration,
+            miss_threshold: cfg.missed_beats,
+            snapshot_interval: cfg.snapshot_interval,
+        };
         FailoverController {
             cfg,
-            gateway,
-            workers: workers
-                .into_iter()
-                .map(|(component, endpoint)| WorkerHealth {
-                    component,
-                    endpoint,
-                    missed: 0,
-                    ponged: false,
-                    alive: true,
-                    ewma_ns: None,
-                    slow_strikes: 0,
-                    quarantined: false,
-                    epoch: 0,
-                    lease_until: SimTime::ZERO,
-                    fenced: false,
-                })
-                .collect(),
+            gateways,
+            workers,
+            plane: ControlPlane::new(members, timing),
             home: FastMap::default(),
             origin: FastMap::default(),
-            started: false,
             counters: FailoverCounters::default(),
             events: Vec::new(),
             planner: None,
-            cut_from: FastMap::default(),
-            crashed: false,
             stable: None,
-            snap_seq: 0,
-            beat_gen: 0,
-            snap_gen: 0,
-            lease_seq: 0,
             service_routes: FastMap::default(),
-            restore_pending: None,
-            extra_gateways: Vec::new(),
         }
     }
 
     /// Registers an additional gateway shard that must mirror every
-    /// gateway-directed reconfiguration (the gateway tier calls this
-    /// for each shard beyond the primary).
+    /// gateway-directed reconfiguration (a gateway tier enabled after
+    /// the controller calls this for each new shard).
     pub fn add_gateway(&mut self, gateway: ComponentId) {
-        if gateway != self.gateway && !self.extra_gateways.contains(&gateway) {
-            self.extra_gateways.push(gateway);
+        if !self.gateways.contains(&gateway) {
+            self.gateways.push(gateway);
         }
     }
 
-    /// Sends a worker-epoch update to every gateway shard.
-    fn set_epoch_all(&self, ctx: &mut Ctx<'_>, mac: MacAddr, epoch: u64) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            SetWorkerEpoch { mac, epoch },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(gw, SimDuration::ZERO, SetWorkerEpoch { mac, epoch });
-        }
-    }
-
-    /// Installs a reply-fence floor for a worker at every gateway shard.
-    fn fence_all(&self, ctx: &mut Ctx<'_>, mac: MacAddr, floor_epoch: u64) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            FenceWorker { mac, floor_epoch },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(gw, SimDuration::ZERO, FenceWorker { mac, floor_epoch });
-        }
-    }
-
-    /// Withdraws a worker's endpoints from every gateway shard.
-    fn remove_endpoints_all(&self, ctx: &mut Ctx<'_>, mac: MacAddr) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            RemoveWorkerEndpoints { mac },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(gw, SimDuration::ZERO, RemoveWorkerEndpoints { mac });
-        }
-    }
-
-    /// Adds a replica placement at every gateway shard.
-    fn add_placement_all(&self, ctx: &mut Ctx<'_>, workload_id: u32, endpoint: WorkerEndpoint) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            AddPlacement {
-                workload_id,
-                endpoint,
-            },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(
-                gw,
-                SimDuration::ZERO,
-                AddPlacement {
-                    workload_id,
-                    endpoint,
-                },
-            );
+    /// Sends one reconfiguration to every gateway shard, primary first.
+    fn broadcast<M: Message>(&self, ctx: &mut Ctx<'_>, msg: impl Fn() -> M) {
+        for &gw in &self.gateways {
+            ctx.send(gw, SimDuration::ZERO, msg());
         }
     }
 
@@ -451,22 +359,22 @@ impl FailoverController {
 
     /// The fencing token worker `worker` was last seen holding.
     pub fn worker_epoch(&self, worker: usize) -> u64 {
-        self.workers[worker].epoch
+        self.plane.members[worker].view.epoch
     }
 
     /// Whether worker `worker` is currently fenced.
     pub fn is_fenced(&self, worker: usize) -> bool {
-        self.workers[worker].fenced
+        self.plane.members[worker].view.fenced
     }
 
     /// Sequence number of the last stable snapshot taken (0 = none).
     pub fn snapshot_seq(&self) -> u64 {
-        self.snap_seq
+        self.plane.snapshot_seq()
     }
 
     /// Whether the control plane is currently crashed.
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.plane.is_crashed()
     }
 
     /// Statistics.
@@ -501,146 +409,58 @@ impl FailoverController {
         });
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        if self.cfg.fencing {
-            // Establish the epoch regime: every worker starts at 1 and
-            // the gateway stamps that token on requests routed at it.
-            for i in 0..self.workers.len() {
-                self.workers[i].epoch = 1;
-                let mac = self.workers[i].endpoint.mac;
-                self.set_epoch_all(ctx, mac, 1);
-            }
-        }
-        if let Some(interval) = self.cfg.snapshot_interval {
-            self.take_snapshot(ctx);
-            let gen = self.snap_gen;
-            ctx.send_self(interval, SnapTick { gen });
-        }
-        self.on_beat(ctx);
-    }
-
-    /// One round of the liveness loop: tally the previous round's
-    /// silences, act on deaths (or lease expiries), then probe (or
-    /// grant) again.
-    fn on_beat(&mut self, ctx: &mut Ctx<'_>) {
-        self.counters.beats += 1;
-        // A restore completed last turn; every reachable worker's
-        // zero-delay EpochReport has arrived by now.
-        if let Some((seq, reconciled)) = self.restore_pending.take() {
-            ctx.emit(|| TraceEvent::SnapshotRestored { seq, reconciled });
-        }
+    /// Heartbeat-only round (fencing off): act on deaths, then probe.
+    fn round_heartbeat(&mut self, ctx: &mut Ctx<'_>) {
         for i in 0..self.workers.len() {
-            let w = &mut self.workers[i];
-            if w.ponged {
-                w.missed = 0;
-            } else {
-                w.missed = w.missed.saturating_add(1);
-            }
-            w.ponged = false;
-        }
-        if self.cfg.fencing {
-            self.beat_fencing(ctx);
-        } else {
-            self.beat_legacy(ctx);
-        }
-        let gen = self.beat_gen;
-        ctx.send_self(self.cfg.heartbeat_interval, Beat { gen });
-    }
-
-    fn beat_legacy(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.workers.len() {
-            if self.workers[i].alive && self.workers[i].missed >= self.cfg.missed_beats {
+            let member = &mut self.plane.members[i];
+            member.tally();
+            if self.workers[i].alive && member.missed >= self.cfg.missed_beats {
                 self.declare_dead(ctx, i);
             }
         }
-        let seq = self.counters.beats;
         let reply_to = ctx.self_id();
-        for i in 0..self.workers.len() {
-            ctx.send(
-                self.workers[i].component,
-                SimDuration::ZERO,
-                HealthPing { seq, reply_to },
-            );
+        for m in &self.plane.members {
+            ctx.send(m.component, SimDuration::ZERO, HealthPing { reply_to });
         }
     }
 
-    fn beat_fencing(&mut self, ctx: &mut Ctx<'_>) {
+    /// Lease round (fencing on): renew, probe fenced workers for
+    /// rejoin, and fence suspects whose last lease provably expired.
+    fn round_fenced(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         for i in 0..self.workers.len() {
-            if self.workers[i].fenced {
-                // Rejoin probe: idempotent until the worker acks with
-                // the bumped epoch (a partitioned worker never sees it).
-                let epoch = self.workers[i].epoch + 1;
-                self.send_grant(ctx, i, epoch, true);
-                continue;
+            self.plane.members[i].tally();
+            match self.plane.decide(i, now, false) {
+                Decision::Grant(grant) => self.send_grant(ctx, i, grant),
+                Decision::Fence => self.fence_worker(ctx, i),
+                Decision::Hold => {}
             }
-            if self.workers[i].missed >= self.cfg.missed_beats {
-                // Suspected: stop extending the lease. Fencing is safe
-                // only once the last granted lease has provably expired
-                // — before that instant the worker may still be serving.
-                if crate::lease::provably_expired(now, self.workers[i].lease_until) {
-                    self.fence_worker(ctx, i);
-                }
-                continue;
-            }
-            let epoch = self.workers[i].epoch;
-            self.send_grant(ctx, i, epoch, false);
         }
     }
 
-    /// Grants (or probes, for `rejoin`) a lease. Grants are direct
-    /// zero-delay control messages, so the `lease_until` recorded here
-    /// is exactly what the worker adopts when the grant is delivered;
-    /// a lost grant only leaves the worker with a *shorter* lease.
-    fn send_grant(&mut self, ctx: &mut Ctx<'_>, idx: usize, epoch: u64, rejoin: bool) {
-        self.lease_seq += 1;
-        // A rejoin probe carries an already-expired lease: the worker
-        // adopts the bumped epoch but earns serving time only after its
-        // ack round-trips.
-        let until = if rejoin {
-            ctx.now()
-        } else {
-            ctx.now() + self.cfg.lease_duration
-        };
-        if !rejoin {
-            self.workers[idx].lease_until = self.workers[idx].lease_until.max(until);
-        }
+    /// Traces and sends a grant (or rejoin probe). Grants are direct
+    /// zero-delay control messages, so the `lease_until` the view
+    /// recorded is exactly what the worker adopts when the grant is
+    /// delivered; a lost grant only leaves the worker with a *shorter*
+    /// lease.
+    fn send_grant(&mut self, ctx: &mut Ctx<'_>, idx: usize, grant: Grant) {
         let worker = idx as u32;
-        let until_ns = until.as_nanos();
+        let (epoch, until_ns) = (grant.epoch, grant.until.as_nanos());
         ctx.emit(|| TraceEvent::LeaseGrant {
             worker,
             epoch,
             until_ns,
         });
-        let reply_to = ctx.self_id();
-        ctx.send(
-            self.workers[idx].component,
-            SimDuration::ZERO,
-            GrantLease {
-                epoch,
-                until_ns,
-                seq: self.lease_seq,
-                rejoin,
-                reply_to,
-            },
-        );
+        self.plane.send_grant(ctx, idx, grant);
     }
 
-    /// Fences a worker whose lease provably expired: raise the
-    /// gateway's reply floor, withdraw its endpoints, re-home its
-    /// workloads, and persist the membership transition.
+    /// Acts on a worker the round fenced (its lease provably expired):
+    /// raise the gateways' reply floor, withdraw its endpoints, re-home
+    /// its workloads, and persist the membership transition.
     fn fence_worker(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let epoch = self.workers[idx].epoch;
-        self.workers[idx].fenced = true;
-        self.workers[idx].alive = false;
-        self.counters.deaths += 1;
-        self.record(ctx, FailoverEventKind::WorkerDead { worker: idx });
+        let epoch = self.plane.members[idx].view.epoch;
         let worker = idx as u32;
-        let component = self.workers[idx].component.index() as u32;
+        let component = self.plane.members[idx].component.index() as u32;
         ctx.emit(|| TraceEvent::LeaseExpire { worker, epoch });
         ctx.emit(|| TraceEvent::WorkerFenced {
             worker,
@@ -648,9 +468,11 @@ impl FailoverController {
             epoch,
         });
         let mac = self.workers[idx].endpoint.mac;
-        self.fence_all(ctx, mac, epoch + 1);
-        self.remove_endpoints_all(ctx, mac);
-        self.replace_orphans(ctx, idx);
+        self.broadcast(ctx, || FenceWorker {
+            mac,
+            floor_epoch: epoch + 1,
+        });
+        self.declare_dead(ctx, idx);
         self.write_through(ctx);
     }
 
@@ -666,189 +488,63 @@ impl FailoverController {
             mac: ep.mac,
             addr: ep.addr,
         };
-        for w in &self.workers {
-            ctx.send(w.component, SimDuration::ZERO, update);
-        }
-    }
-
-    /// Serializes membership + placement state to the stable snapshot.
-    fn take_snapshot(&mut self, ctx: &mut Ctx<'_>) {
-        self.snap_seq += 1;
-        let seq = self.snap_seq;
-        let mut home: Vec<(u32, usize)> = self.home.iter().map(|(&k, &v)| (k, v)).collect();
-        home.sort_unstable();
-        let mut origin: Vec<(u32, usize)> = self.origin.iter().map(|(&k, &v)| (k, v)).collect();
-        origin.sort_unstable();
-        let workers: Vec<(u64, bool, bool)> = self
-            .workers
-            .iter()
-            .map(|w| (w.epoch, w.fenced, w.alive))
-            .collect();
-        let n_workers = workers.len() as u64;
-        let placements = home.len() as u64;
-        self.stable = Some(Snapshot {
-            seq,
-            workers,
-            home,
-            origin,
-        });
-        ctx.emit(|| TraceEvent::SnapshotTaken {
-            seq,
-            workers: n_workers,
-            placements,
-        });
-    }
-
-    /// Persists a membership transition immediately (fence/rejoin), so
-    /// restored epochs are never stale. No-op when snapshotting is off.
-    fn write_through(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cfg.snapshot_interval.is_some() {
-            self.take_snapshot(ctx);
-        }
-    }
-
-    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "crash",
-            detail: 0,
-        });
-    }
-
-    /// Restarts the control plane from the last stable snapshot:
-    /// restore membership + placement bookkeeping, re-bound every
-    /// worker's lease (no grant was sent while crashed, so every
-    /// pre-crash lease expires within one lease duration), re-assert
-    /// epoch/floor state at the gateway, and query workers for epochs
-    /// the snapshot may have missed. Placements are NOT re-issued —
-    /// gateway placement state survived, and re-placing would violate
-    /// conservation.
-    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "restart",
-            detail: 0,
-        });
-        // Pre-crash timers must not double the loops.
-        self.beat_gen += 1;
-        self.snap_gen += 1;
-        if !self.started {
-            return;
-        }
-        if let Some(snap) = self.stable.clone() {
-            self.home = snap.home.into_iter().collect();
-            self.origin = snap.origin.into_iter().collect();
-            let reply_to = ctx.self_id();
-            for (i, &(epoch, fenced, alive)) in snap.workers.iter().enumerate() {
-                let w = &mut self.workers[i];
-                w.epoch = epoch;
-                w.fenced = fenced;
-                w.alive = alive;
-                w.missed = 0;
-                w.ponged = false;
-                w.lease_until = ctx.now() + self.cfg.lease_duration;
-                let mac = w.endpoint.mac;
-                self.set_epoch_all(ctx, mac, epoch);
-                if fenced {
-                    self.fence_all(ctx, mac, epoch + 1);
-                    self.remove_endpoints_all(ctx, mac);
-                }
-                ctx.send(
-                    self.workers[i].component,
-                    SimDuration::ZERO,
-                    EpochQuery { reply_to },
-                );
-            }
-            self.restore_pending = Some((snap.seq, 0));
-        }
-        let gen = self.beat_gen;
-        ctx.send_self(self.cfg.heartbeat_interval, Beat { gen });
-        if let Some(interval) = self.cfg.snapshot_interval {
-            let gen = self.snap_gen;
-            ctx.send_self(interval, SnapTick { gen });
+        for m in &self.plane.members {
+            ctx.send(m.component, SimDuration::ZERO, update);
         }
     }
 
     fn on_lease_ack(&mut self, ctx: &mut Ctx<'_>, ack: &LeaseAck) {
-        let Some(idx) = self.workers.iter().position(|w| w.component == ack.from) else {
+        let now = ctx.now();
+        let Some(idx) = self.plane.member_of(now, ack.from) else {
             return;
         };
-        if self.is_cut_from(ctx.now(), ack.from) {
+        if !self.plane.ack(idx, now, ack.epoch) {
             return;
         }
-        let w = &mut self.workers[idx];
-        w.ponged = true;
-        w.missed = 0;
-        if w.fenced && ack.epoch > w.epoch {
-            // Rejoin handshake complete: the worker adopted the bumped
-            // epoch and dropped its pre-partition queue. The probe
-            // carried no serving time, so issue the real lease now.
-            w.epoch = ack.epoch;
-            w.fenced = false;
-            w.alive = true;
-            self.counters.recoveries += 1;
-            self.record(ctx, FailoverEventKind::WorkerRecovered { worker: idx });
-            let worker = idx as u32;
-            let component = ack.from.index() as u32;
-            let epoch = ack.epoch;
-            ctx.emit(|| TraceEvent::WorkerRejoin {
-                worker,
-                component,
-                epoch,
-            });
-            let mac = self.workers[idx].endpoint.mac;
-            self.set_epoch_all(ctx, mac, epoch);
-            self.send_grant(ctx, idx, epoch, false);
-            self.hand_back(ctx, idx);
-            self.write_through(ctx);
-        } else if ack.epoch > w.epoch {
-            // Tokens never regress; adopt the fresher view.
-            w.epoch = ack.epoch;
-        }
+        // Rejoin handshake complete: the worker adopted the bumped
+        // epoch and dropped its pre-partition queue. The probe carried
+        // no serving time, so issue the real lease now.
+        self.workers[idx].alive = true;
+        self.counters.recoveries += 1;
+        self.record(ctx, FailoverEventKind::WorkerRecovered { worker: idx });
+        let worker = idx as u32;
+        let component = ack.from.index() as u32;
+        let epoch = ack.epoch;
+        ctx.emit(|| TraceEvent::WorkerRejoin {
+            worker,
+            component,
+            epoch,
+        });
+        let mac = self.workers[idx].endpoint.mac;
+        self.broadcast(ctx, || SetWorkerEpoch { mac, epoch });
+        let grant = self.plane.members[idx]
+            .view
+            .grant(now, self.cfg.lease_duration);
+        self.send_grant(ctx, idx, grant);
+        self.hand_back(ctx, idx);
+        self.write_through(ctx);
     }
 
+    /// A worker's answer to the restore-time [`EpochQuery`].
     fn on_epoch_report(&mut self, ctx: &mut Ctx<'_>, report: &EpochReport) {
-        let Some(idx) = self.workers.iter().position(|w| w.component == report.from) else {
+        let Some(idx) = self.plane.member_of(ctx.now(), report.from) else {
             return;
         };
-        if self.is_cut_from(ctx.now(), report.from) {
-            return;
-        }
-        let w = &mut self.workers[idx];
-        if report.epoch > w.epoch {
+        let view = &mut self.plane.members[idx].view;
+        let until = SimTime::from_nanos(report.lease_until_ns);
+        if view.reconcile(report.epoch, until) {
             // The worker completed a rejoin the snapshot missed. Its
             // gateway placements survived the controller crash, so no
             // handback is needed — only the bookkeeping catches up.
-            w.epoch = report.epoch;
-            if w.fenced {
-                w.fenced = false;
-                w.alive = true;
+            if view.fenced {
+                view.fenced = false;
+                self.workers[idx].alive = true;
             }
-            if let Some((_, reconciled)) = self.restore_pending.as_mut() {
-                *reconciled += 1;
-            }
-            let mac = w.endpoint.mac;
+            self.plane.count_reconciled();
+            let mac = self.workers[idx].endpoint.mac;
             let epoch = report.epoch;
-            self.set_epoch_all(ctx, mac, epoch);
+            self.broadcast(ctx, || SetWorkerEpoch { mac, epoch });
         }
-        if report.lease_until_ns > 0 {
-            let until = SimTime::from_nanos(report.lease_until_ns);
-            let w = &mut self.workers[idx];
-            w.lease_until = w.lease_until.max(until);
-        }
-    }
-
-    /// Whether a message from `peer` is inside an active partition cut.
-    fn is_cut_from(&self, now: SimTime, peer: ComponentId) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
     }
 
     fn declare_dead(&mut self, ctx: &mut Ctx<'_>, dead: usize) {
@@ -857,8 +553,15 @@ impl FailoverController {
         self.record(ctx, FailoverEventKind::WorkerDead { worker: dead });
         // Stop routing anything (originals or retransmissions) at the
         // blackhole.
-        self.remove_endpoints_all(ctx, self.workers[dead].endpoint.mac);
-        self.replace_orphans(ctx, dead);
+        self.evict(ctx, dead);
+    }
+
+    /// Withdraws a worker's endpoints from every gateway and re-places
+    /// the workloads homed on it.
+    fn evict(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
+        let mac = self.workers[idx].endpoint.mac;
+        self.broadcast(ctx, || RemoveWorkerEndpoints { mac });
+        self.replace_orphans(ctx, idx);
     }
 
     /// Re-places the workloads homed on `from` onto healthy survivors,
@@ -909,7 +612,11 @@ impl FailoverController {
                     to: target,
                 },
             );
-            self.add_placement_all(ctx, wid, self.workers[target].endpoint);
+            let endpoint = self.workers[target].endpoint;
+            self.broadcast(ctx, || AddPlacement {
+                workload_id: wid,
+                endpoint,
+            });
             // Inter-worker RPC tables must chase the re-placement too,
             // or retries keep hammering the evicted endpoint.
             self.broadcast_service_route(ctx, wid, target);
@@ -917,22 +624,17 @@ impl FailoverController {
     }
 
     fn on_pong(&mut self, ctx: &mut Ctx<'_>, from: ComponentId) {
-        let Some(idx) = self.workers.iter().position(|w| w.component == from) else {
+        let Some(idx) = self.plane.member_of(ctx.now(), from) else {
             return;
         };
-        if self.is_cut_from(ctx.now(), from) {
-            return;
-        }
-        let w = &mut self.workers[idx];
-        w.ponged = true;
-        w.missed = 0;
-        if w.alive {
+        self.plane.members[idx].heard();
+        if self.workers[idx].alive {
             return;
         }
         // Recovery: re-admit and hand back the workloads that
         // originally lived here (survivor replicas keep serving too, so
         // the handback is hitless).
-        w.alive = true;
+        self.workers[idx].alive = true;
         self.counters.recoveries += 1;
         self.record(ctx, FailoverEventKind::WorkerRecovered { worker: idx });
         self.hand_back(ctx, idx);
@@ -977,7 +679,10 @@ impl FailoverController {
                     },
                 );
             }
-            self.add_placement_all(ctx, wid, endpoint);
+            self.broadcast(ctx, || AddPlacement {
+                workload_id: wid,
+                endpoint,
+            });
             self.broadcast_service_route(ctx, wid, idx);
         }
     }
@@ -1057,8 +762,7 @@ impl FailoverController {
             ewma_ns,
             median_ns,
         });
-        self.remove_endpoints_all(ctx, self.workers[idx].endpoint.mac);
-        self.replace_orphans(ctx, idx);
+        self.evict(ctx, idx);
         ctx.send_self(self.cfg.quarantine_probation, ProbationEnd { worker: idx });
     }
 
@@ -1080,68 +784,111 @@ impl FailoverController {
     }
 }
 
-impl Component for FailoverController {
-    fn name(&self) -> &str {
-        "failover-controller"
+impl Membership for FailoverController {
+    const FAULT_KINDS: (&'static str, &'static str) = ("crash", "restart");
+
+    fn plane(&mut self) -> &mut ControlPlane {
+        &mut self.plane
     }
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        // Fault controls model process/network state and act even while
-        // the process is down.
-        let msg = match msg.downcast::<Crash>() {
-            Ok(_) => {
-                self.on_crash(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<Restart>() {
-            Ok(_) => {
-                self.on_restart(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<NetCutFrom>() {
-            Ok(cut) => {
-                let until = ctx.now() + cut.duration;
-                for peer in &cut.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(until);
-                    *slot = (*slot).max(until);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        if self.crashed {
-            // Messages addressed to a crashed process die with it.
+    /// With fencing, establishes the epoch regime: every worker starts
+    /// at 1 and the gateways stamp that token on requests routed at it.
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.cfg.fencing {
             return;
         }
+        for i in 0..self.workers.len() {
+            self.plane.members[i].view.epoch = 1;
+            let mac = self.workers[i].endpoint.mac;
+            self.broadcast(ctx, || SetWorkerEpoch { mac, epoch: 1 });
+        }
+    }
+
+    /// One round of the liveness loop: tally the previous round's
+    /// silences, act on deaths (or lease expiries), then probe (or
+    /// grant) again.
+    fn on_round(&mut self, ctx: &mut Ctx<'_>) {
+        // A restore completed last turn; every reachable worker's
+        // zero-delay EpochReport has arrived by now.
+        if let Some((seq, reconciled)) = self.plane.restore_pending.take() {
+            ctx.emit(|| TraceEvent::SnapshotRestored { seq, reconciled });
+        }
+        if self.cfg.fencing {
+            self.round_fenced(ctx);
+        } else {
+            self.round_heartbeat(ctx);
+        }
+    }
+
+    /// Serializes membership + placement state to the stable snapshot.
+    fn on_snapshot(&mut self, ctx: &mut Ctx<'_>) {
+        let seq = self.plane.next_snapshot_seq();
+        let mut home: Vec<(u32, usize)> = self.home.iter().map(|(&k, &v)| (k, v)).collect();
+        home.sort_unstable();
+        let mut origin: Vec<(u32, usize)> = self.origin.iter().map(|(&k, &v)| (k, v)).collect();
+        origin.sort_unstable();
+        let workers: Vec<(u64, bool, bool)> = self
+            .plane
+            .members
+            .iter()
+            .zip(&self.workers)
+            .map(|(m, w)| (m.view.epoch, m.view.fenced, w.alive))
+            .collect();
+        let n_workers = workers.len() as u64;
+        let placements = home.len() as u64;
+        self.stable = Some(Snapshot {
+            seq,
+            workers,
+            home,
+            origin,
+        });
+        ctx.emit(|| TraceEvent::SnapshotTaken {
+            seq,
+            workers: n_workers,
+            placements,
+        });
+    }
+
+    /// Restores membership + placement bookkeeping from the last stable
+    /// snapshot, re-bounds every worker's lease (no grant was sent while
+    /// crashed, so every pre-crash lease expires within one lease
+    /// duration), re-asserts epoch/floor state at the gateways, and
+    /// queries workers for epochs the snapshot may have missed.
+    /// Placements are NOT re-issued — gateway placement state survived,
+    /// and re-placing would violate conservation.
+    fn on_restore(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(snap) = self.stable.clone() else {
+            return;
+        };
+        self.home = snap.home.into_iter().collect();
+        self.origin = snap.origin.into_iter().collect();
+        let now = ctx.now();
+        let reply_to = ctx.self_id();
+        for (i, &(epoch, fenced, alive)) in snap.workers.iter().enumerate() {
+            let member = &mut self.plane.members[i];
+            member.view =
+                ControllerView::restore(epoch, fenced, SimTime::ZERO, now, self.cfg.lease_duration);
+            member.clear_tally();
+            let component = member.component;
+            self.workers[i].alive = alive;
+            let mac = self.workers[i].endpoint.mac;
+            self.broadcast(ctx, || SetWorkerEpoch { mac, epoch });
+            if fenced {
+                self.broadcast(ctx, || FenceWorker {
+                    mac,
+                    floor_epoch: epoch + 1,
+                });
+                self.broadcast(ctx, || RemoveWorkerEndpoints { mac });
+            }
+            ctx.send(component, SimDuration::ZERO, EpochQuery { reply_to });
+        }
+        self.plane.restore_pending = Some((snap.seq, 0));
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
         let msg = match msg.downcast::<StartFailover>() {
             Ok(_) => {
-                self.on_start(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<Beat>() {
-            Ok(beat) => {
-                if beat.gen == self.beat_gen {
-                    self.on_beat(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<SnapTick>() {
-            Ok(tick) => {
-                if tick.gen == self.snap_gen {
-                    self.take_snapshot(ctx);
-                    if let Some(interval) = self.cfg.snapshot_interval {
-                        let gen = self.snap_gen;
-                        ctx.send_self(interval, SnapTick { gen });
-                    }
-                }
+                self.start(ctx);
                 return;
             }
             Err(other) => other,
@@ -1181,6 +928,16 @@ impl Component for FailoverController {
     }
 }
 
+impl Component for FailoverController {
+    fn name(&self) -> &str {
+        "failover-controller"
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+        self.dispatch(ctx, msg);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1206,7 +963,7 @@ mod tests {
         };
         let w0 = mk(&mut sim, 0);
         let w1 = mk(&mut sim, 1);
-        let mut ctl = FailoverController::new(FailoverConfig::default(), gw, vec![w0, w1]);
+        let mut ctl = FailoverController::new(FailoverConfig::default(), vec![gw], vec![w0, w1]);
         ctl.track_placement(7, 1);
         assert_eq!(ctl.home_of(7), Some(1));
         assert!(ctl.is_alive(0) && ctl.is_alive(1));

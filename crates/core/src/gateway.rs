@@ -1001,7 +1001,6 @@ impl Gateway {
             LeaseAck {
                 from: ctx.self_id(),
                 epoch,
-                seq: grant.seq,
                 incarnation: self.incarnation,
             },
         );

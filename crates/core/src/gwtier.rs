@@ -32,7 +32,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use lnic_net::packet::RC_FENCED;
-use lnic_sim::fault::{Crash, EpochQuery, EpochReport, GrantLease, LeaseAck, NetCutFrom, Restart};
+use lnic_sim::fault::{EpochQuery, EpochReport, LeaseAck, NetCutFrom};
 use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 use lnic_workloads::planet::PlanetModel;
@@ -40,7 +40,7 @@ use rand::Rng;
 
 use crate::driver::{CompletedRequest, JobSpec, StartDriver};
 use crate::gateway::{DrainGateway, HandoffReport, RequestDone, SetAdmissionSlice, SubmitRequest};
-use crate::lease::ControllerView;
+use crate::lease::{ControlPlane, ControllerView, Decision, Member, Membership, Timing};
 
 /// Identifier of one gateway shard in the tier: its index in the
 /// testbed's gateway list, and the high 16 bits of every request id the
@@ -196,7 +196,7 @@ impl ShardMap {
 const TIER_SNAP_MAGIC: u32 = 0x4C4E_5453;
 /// Snapshot wire-format version. Bumped on any layout change; a restore
 /// refuses snapshots from any other version (cold rebuild instead).
-const TIER_SNAP_VERSION: u16 = 1;
+const TIER_SNAP_VERSION: u16 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -240,8 +240,6 @@ pub struct TierSnapshot {
     pub seq: u64,
     /// The map epoch at snapshot time.
     pub epoch: u64,
-    /// The controller's renewal round at snapshot time.
-    pub round: u64,
     /// The handoff-ledger total at snapshot time.
     pub handed_off: u64,
     /// Ring points per member (the map rebuild parameter).
@@ -261,7 +259,6 @@ impl TierSnapshot {
         out.extend_from_slice(&TIER_SNAP_VERSION.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.handed_off.to_le_bytes());
         out.extend_from_slice(&self.vnodes.to_le_bytes());
         out.extend_from_slice(&(self.members.len() as u32).to_le_bytes());
@@ -332,7 +329,6 @@ impl TierSnapshot {
         }
         let seq = c.u64()?;
         let epoch = c.u64()?;
-        let round = c.u64()?;
         let handed_off = c.u64()?;
         let vnodes = c.u32()?;
         let n_members = c.u32()? as usize;
@@ -372,7 +368,6 @@ impl TierSnapshot {
         Ok(TierSnapshot {
             seq,
             epoch,
-            round,
             handed_off,
             vnodes,
             members,
@@ -406,9 +401,9 @@ pub struct TierConfig {
     /// and delivers a failure.
     pub max_reroutes: u32,
     /// Cadence of controller snapshots to (modeled) stable storage.
-    /// `ZERO` disables both the cadence and transition write-through —
+    /// `None` disables both the cadence and transition write-through —
     /// a restarted controller then rebuilds cold and reconciles.
-    pub snapshot_interval: SimDuration,
+    pub snapshot_interval: Option<SimDuration>,
     /// Tier-wide admission budget (requests/s per workload), divided
     /// evenly across the live member shards on every membership change.
     /// `0.0` leaves each shard's locally configured admission alone.
@@ -433,7 +428,7 @@ impl Default for TierConfig {
             resubmit_timeout: SimDuration::from_millis(250),
             bounce_retry: SimDuration::from_millis(5),
             max_reroutes: 200,
-            snapshot_interval: SimDuration::from_millis(100),
+            snapshot_interval: Some(SimDuration::from_millis(100)),
             global_rate_per_sec: 0.0,
             global_burst: 32.0,
             readopt: true,
@@ -514,19 +509,6 @@ struct ResubmitCheck {
 #[derive(Debug)]
 struct Reroute {
     uid: u64,
-}
-
-/// Tier-controller lease tick. The generation stamp keeps ticks armed
-/// before a crash from firing after the restart re-arms its own.
-#[derive(Debug)]
-struct TierTick {
-    gen: u64,
-}
-
-/// Tier-controller snapshot-cadence tick.
-#[derive(Debug)]
-struct SnapTick {
-    gen: u64,
 }
 
 /// Router statistics.
@@ -927,14 +909,9 @@ pub struct TierCounters {
     pub budget_rebalances: u64,
 }
 
-/// Per-shard controller-side state.
+/// Shard-only controller state, indexed like the control plane's
+/// member table (which holds the lease view and the liveness tally).
 struct ShardState {
-    component: ComponentId,
-    view: ControllerView,
-    /// Consecutive silent renewal rounds.
-    missed: u32,
-    /// Acked the current round.
-    acked: bool,
     /// Administratively retired: never probed for rejoin.
     retired: bool,
     /// The shard's restart count as last acked. A jump means the shard
@@ -942,35 +919,22 @@ struct ShardState {
     incarnation: u64,
 }
 
-/// The tier's membership controller: runs the [`crate::lease`] algebra
-/// over gateway shards, deposes shards whose lease provably expired,
-/// re-admits healed shards under bumped epochs, and publishes every
-/// membership change as a new [`ShardMap`] epoch.
+/// The tier's membership controller: a gateway-shard adapter over the
+/// shared lease-membership core ([`crate::lease`]). It deposes shards
+/// whose lease provably expired, re-admits healed shards under bumped
+/// epochs, and publishes every membership change as a new [`ShardMap`]
+/// epoch.
 pub struct TierController {
     cfg: TierConfig,
     router: ComponentId,
     shards: Vec<ShardState>,
+    /// Member table, lease views, and the crash/restart lifecycle.
+    plane: ControlPlane,
     map: Arc<ShardMap>,
-    /// Monotonic renewal round.
-    seq: u64,
     counters: TierCounters,
-    started: bool,
-    /// Direct peers currently cut (component index → until).
-    cut_from: FastMap<usize, SimTime>,
-    /// Crashed: every message except `Restart` is blackholed.
-    crashed: bool,
-    /// Lease-tick generation; bumped on restart so pre-crash ticks die.
-    tick_gen: u64,
-    /// Snapshot-tick generation; bumped on restart likewise.
-    snap_gen: u64,
-    /// Monotonic snapshot sequence.
-    snap_seq: u64,
     /// Modeled stable storage: the last encoded snapshot. Kept as raw
     /// bytes so every restore exercises the real codec path.
     stable: Option<Vec<u8>>,
-    /// A restore ran and its `TierRestore` event is owed at the next
-    /// tick: `(snapshot seq restored, epoch reports reconciled)`.
-    restore_pending: Option<(u64, u64)>,
     /// Handoff ledger: total requests shards reported handing to their
     /// drain successors. Snapshot/restore must conserve it (rule 15).
     ledger_handed_off: u64,
@@ -991,31 +955,28 @@ impl TierController {
         map: Arc<ShardMap>,
     ) -> Self {
         assert!(!gateways.is_empty(), "at least one gateway required");
+        let shards = gateways
+            .iter()
+            .map(|_| ShardState {
+                retired: false,
+                incarnation: 0,
+            })
+            .collect();
+        let members = gateways.into_iter().map(|g| Member::new(g, 1)).collect();
+        let timing = Timing {
+            round: cfg.heartbeat,
+            lease: cfg.lease,
+            miss_threshold: cfg.miss_threshold,
+            snapshot_interval: cfg.snapshot_interval,
+        };
         TierController {
             cfg,
             router,
-            shards: gateways
-                .into_iter()
-                .map(|component| ShardState {
-                    component,
-                    view: ControllerView::new(1),
-                    missed: 0,
-                    acked: false,
-                    retired: false,
-                    incarnation: 0,
-                })
-                .collect(),
+            shards,
+            plane: ControlPlane::new(members, timing),
             map,
-            seq: 0,
             counters: TierCounters::default(),
-            started: false,
-            cut_from: FastMap::default(),
-            crashed: false,
-            tick_gen: 0,
-            snap_gen: 0,
-            snap_seq: 0,
             stable: None,
-            restore_pending: None,
             ledger_handed_off: 0,
         }
     }
@@ -1048,12 +1009,6 @@ impl TierController {
     /// Overwrites (modeled) stable storage — the corruption test hook.
     pub fn clobber_stable(&mut self, bytes: Vec<u8>) {
         self.stable = Some(bytes);
-    }
-
-    fn is_cut(&self, peer: ComponentId, now: SimTime) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
     }
 
     /// Publishes the current map: one `GwShardMap` trace event (the
@@ -1094,154 +1049,11 @@ impl TierController {
             burst: (self.cfg.global_burst / n).max(1.0),
         };
         for &g in self.map.members() {
-            ctx.send(self.shards[g as usize].component, SimDuration::ZERO, slice);
-        }
-    }
-
-    /// Writes the controller's durable state to (modeled) stable
-    /// storage as encoded bytes, and emits the `TierSnapshot` event
-    /// rule 15 audits.
-    fn take_snapshot(&mut self, ctx: &mut Ctx<'_>) {
-        self.snap_seq += 1;
-        let snap = TierSnapshot {
-            seq: self.snap_seq,
-            epoch: self.map.epoch(),
-            round: self.seq,
-            handed_off: self.ledger_handed_off,
-            vnodes: self.map.vnodes(),
-            members: self.map.members().to_vec(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardSnap {
-                    epoch: s.view.epoch,
-                    lease_until_ns: s.view.lease_until.as_nanos(),
-                    incarnation: s.incarnation,
-                    fenced: s.view.fenced,
-                    retired: s.retired,
-                })
-                .collect(),
-        };
-        self.stable = Some(snap.encode());
-        self.counters.snapshots += 1;
-        let (seq, epoch, shards, handed_off) = (
-            snap.seq,
-            snap.epoch,
-            snap.members.len() as u64,
-            snap.handed_off,
-        );
-        ctx.emit(|| TraceEvent::TierSnapshot {
-            seq,
-            epoch,
-            shards,
-            handed_off,
-        });
-    }
-
-    /// Snapshot at a state transition (depose, rejoin, drain, handoff
-    /// report) — skipped when snapshotting is disabled.
-    fn write_through(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.cfg.snapshot_interval.is_zero() {
-            self.take_snapshot(ctx);
-        }
-    }
-
-    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "tier-controller-crash",
-            detail: 0,
-        });
-    }
-
-    /// Recovers the controller: decode the stable snapshot (warm) or
-    /// keep reconciling from scratch (cold), conservatively re-bound
-    /// every lease, then query the router's map and every live shard's
-    /// epoch. The map epoch never regresses: the stable snapshot is
-    /// written through on every membership change, so it can never
-    /// trail the router's installed map, and the `MapQuery` reply only
-    /// moves the controller forward.
-    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "tier-controller-restart",
-            detail: 0,
-        });
-        self.tick_gen += 1;
-        self.snap_gen += 1;
-        if !self.started {
-            return;
-        }
-        let now = ctx.now();
-        let warm = self
-            .stable
-            .as_deref()
-            .and_then(|bytes| TierSnapshot::decode(bytes).ok())
-            // A snapshot for a different shard roster cannot be ours.
-            .filter(|snap| snap.shards.len() == self.shards.len() && !snap.members.is_empty());
-        let restored_seq = match warm {
-            Some(snap) => {
-                self.map = Arc::new(ShardMap::new(snap.epoch, &snap.members, snap.vnodes));
-                self.seq = snap.round;
-                self.ledger_handed_off = snap.handed_off;
-                for (s, ss) in self.shards.iter_mut().zip(&snap.shards) {
-                    s.view = ControllerView::restore(
-                        ss.epoch,
-                        ss.fenced,
-                        SimTime::from_nanos(ss.lease_until_ns),
-                        now,
-                        self.cfg.lease,
-                    );
-                    s.retired = ss.retired;
-                    s.incarnation = ss.incarnation;
-                    s.missed = 0;
-                    s.acked = false;
-                }
-                snap.seq
-            }
-            None => {
-                // Cold rebuild: the snapshot is missing or rejected by
-                // the codec. Keep the in-memory state (equivalent to
-                // what the reconcile queries below would hand back) but
-                // trust none of its timing: re-bound every unfenced
-                // lease as if a grant left the instant before the
-                // crash.
-                self.counters.cold_restores += 1;
-                for s in &mut self.shards {
-                    if !s.view.fenced {
-                        s.view.lease_until = s.view.lease_until.max(now + self.cfg.lease);
-                    }
-                    s.missed = 0;
-                    s.acked = false;
-                }
-                0
-            }
-        };
-        // Reconcile: the router's map (never behind stable — every map
-        // change writes through before the install leaves) and every
-        // live shard's current epoch, all zero-delay so the reports
-        // land before the first post-restore tick.
-        let reply_to = ctx.self_id();
-        ctx.send(self.router, SimDuration::ZERO, MapQuery { reply_to });
-        for g in 0..self.shards.len() {
-            if !self.shards[g].retired {
-                ctx.send(
-                    self.shards[g].component,
-                    SimDuration::ZERO,
-                    EpochQuery { reply_to },
-                );
-            }
-        }
-        self.restore_pending = Some((restored_seq, 0));
-        ctx.send_self(self.cfg.heartbeat, TierTick { gen: self.tick_gen });
-        if !self.cfg.snapshot_interval.is_zero() {
-            ctx.send_self(self.cfg.snapshot_interval, SnapTick { gen: self.snap_gen });
+            ctx.send(
+                self.plane.members[g as usize].component,
+                SimDuration::ZERO,
+                slice,
+            );
         }
     }
 
@@ -1249,21 +1061,12 @@ impl TierController {
     /// fresher of the recorded and reported views (epochs never move
     /// backwards on reconcile).
     fn on_epoch_report(&mut self, ctx: &mut Ctx<'_>, report: EpochReport) {
-        if self.is_cut(report.from, ctx.now()) {
-            return;
-        }
-        let Some(g) = self.shards.iter().position(|s| s.component == report.from) else {
+        let Some(g) = self.plane.member_of(ctx.now(), report.from) else {
             return;
         };
-        let s = &mut self.shards[g];
-        s.view.epoch = s.view.epoch.max(report.epoch);
-        s.view.lease_until = s
-            .view
-            .lease_until
-            .max(SimTime::from_nanos(report.lease_until_ns));
-        if let Some((_, reconciled)) = self.restore_pending.as_mut() {
-            *reconciled += 1;
-        }
+        let until = SimTime::from_nanos(report.lease_until_ns);
+        self.plane.members[g].view.reconcile(report.epoch, until);
+        self.plane.count_reconciled();
     }
 
     /// The router's reply to the restore-time [`MapQuery`]: adopt its
@@ -1284,7 +1087,7 @@ impl TierController {
         let Some(map) = self.map.exclude(g) else {
             return; // not a member, or the last shard standing
         };
-        let epoch = self.shards[g as usize].view.epoch;
+        let epoch = self.plane.members[g as usize].view.epoch;
         ctx.emit(|| TraceEvent::GwDeposed { gateway: g, epoch });
         self.counters.deposed += 1;
         self.map = Arc::new(map);
@@ -1292,107 +1095,13 @@ impl TierController {
         self.write_through(ctx);
     }
 
-    fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
-        // A restore owes its `TierRestore` event: emit it on the first
-        // tick after the zero-delay reconcile replies have landed. The
-        // epoch is read *now* (not at restore time) so a rejoin racing
-        // the restore can only push it forward.
-        if let Some((seq, reconciled)) = self.restore_pending.take() {
-            let epoch = self.map.epoch();
-            let handed_off = self.ledger_handed_off;
-            ctx.emit(|| TraceEvent::TierRestore {
-                seq,
-                epoch,
-                reconciled,
-                handed_off,
-            });
-            self.counters.restores += 1;
-        }
-        let now = ctx.now();
-        let reply_to = ctx.self_id();
-        self.seq += 1;
-        let seq = self.seq;
-        for g in 0..self.shards.len() {
-            // Tally the previous round before deciding this one.
-            let (acked, fenced, retired) = {
-                let s = &self.shards[g];
-                (s.acked, s.view.fenced, s.retired)
-            };
-            {
-                let s = &mut self.shards[g];
-                if s.acked {
-                    s.missed = 0;
-                } else {
-                    s.missed = s.missed.saturating_add(1);
-                }
-                s.acked = false;
-            }
-            if retired {
-                continue;
-            }
-            if fenced {
-                // Rejoin probe: carries the bumped epoch but zero
-                // serving time (see `ControllerView::grant`).
-                let grant = self.shards[g].view.grant(now, self.cfg.lease);
-                ctx.send(
-                    self.shards[g].component,
-                    SimDuration::ZERO,
-                    GrantLease {
-                        epoch: grant.epoch,
-                        until_ns: grant.until.as_nanos(),
-                        seq,
-                        rejoin: true,
-                        reply_to,
-                    },
-                );
-                continue;
-            }
-            let missed = self.shards[g].missed;
-            // Never fence the last shard standing: there is no peer to
-            // absorb its keys, so deposing it would only halt the tier
-            // (and on recovery produce a rejoin with no matching
-            // depose). Keep granting; a restarted shard re-enrolls off
-            // the next ordinary grant.
-            let last_standing = self.map.members().len() == 1 && self.map.contains(g as u32);
-            if missed < self.cfg.miss_threshold || acked || last_standing {
-                // Healthy (or not provably silent): renew.
-                let grant = self.shards[g].view.grant(now, self.cfg.lease);
-                ctx.send(
-                    self.shards[g].component,
-                    SimDuration::ZERO,
-                    GrantLease {
-                        epoch: grant.epoch,
-                        until_ns: grant.until.as_nanos(),
-                        seq,
-                        rejoin: false,
-                        reply_to,
-                    },
-                );
-            } else if self.shards[g].view.try_fence(now) {
-                // Silent past the threshold and the last grant has
-                // provably expired: the shard has already self-fenced
-                // on its own clock. Depose it.
-                self.depose(ctx, g as u32);
-            }
-        }
-        ctx.send_self(self.cfg.heartbeat, TierTick { gen: self.tick_gen });
-    }
-
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, ack: LeaseAck) {
-        if self.is_cut(ack.from, ctx.now()) {
-            return;
-        }
-        let Some(g) = self.shards.iter().position(|s| s.component == ack.from) else {
+        let now = ctx.now();
+        let Some(g) = self.plane.member_of(now, ack.from) else {
             return;
         };
-        let was_fenced = self.shards[g].view.fenced;
-        {
-            let s = &mut self.shards[g];
-            s.acked = true;
-            s.missed = 0;
-        }
-        let now = ctx.now();
-        self.shards[g].view.on_ack(now, ack.epoch, self.cfg.lease);
+        let was_fenced = self.plane.members[g].view.fenced;
+        let rejoined = self.plane.ack(g, now, ack.epoch);
         if ack.incarnation > self.shards[g].incarnation {
             // The shard restarted since its last ack: whatever it held
             // in flight is gone. Re-adopt its affine clients right now
@@ -1408,11 +1117,11 @@ impl TierController {
                 );
             }
         }
-        if was_fenced && !self.shards[g].view.fenced {
+        if rejoined {
             // Rejoin handshake complete: re-admit under the bumped
             // epoch.
             let gateway = g as u32;
-            let epoch = self.shards[g].view.epoch;
+            let epoch = self.plane.members[g].view.epoch;
             ctx.emit(|| TraceEvent::GwRejoin { gateway, epoch });
             self.counters.rejoined += 1;
             if let Some(map) = self.map.include(gateway) {
@@ -1430,11 +1139,11 @@ impl TierController {
         // twice and depose an empty entry), and the last live shard
         // (mirror of the never-fence-the-last-shard guard — nothing
         // could adopt its work).
+        let i = g as usize;
         if !self.map.contains(g)
-            || self
-                .shards
-                .get(g as usize)
-                .is_none_or(|s| s.view.fenced || s.retired)
+            || i >= self.shards.len()
+            || self.plane.members[i].view.fenced
+            || self.shards[i].retired
         {
             self.counters.drains_refused += 1;
             return;
@@ -1449,76 +1158,188 @@ impl TierController {
         // re-homes). Both are zero-delay; the engine delivers them in
         // post order.
         ctx.send(
-            self.shards[g as usize].component,
+            self.plane.members[i].component,
             SimDuration::ZERO,
             DrainGateway {
-                successor: self.shards[successor as usize].component,
+                successor: self.plane.members[successor as usize].component,
                 successor_gateway: successor,
             },
         );
         // Administrative fence: the shard bounces on its own (draining
         // state), so safety does not rest on lease expiry here.
-        self.shards[g as usize].view.fenced = true;
-        self.shards[g as usize].retired = !drain.rejoin_after;
+        self.plane.members[i].view.fenced = true;
+        self.shards[i].retired = !drain.rejoin_after;
         self.depose(ctx, g);
     }
 }
 
-impl Component for TierController {
-    fn name(&self) -> &str {
-        "tier-controller"
+impl Membership for TierController {
+    const FAULT_KINDS: (&'static str, &'static str) =
+        ("tier-controller-crash", "tier-controller-restart");
+
+    fn plane(&mut self) -> &mut ControlPlane {
+        &mut self.plane
     }
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        let msg = match msg.downcast::<Crash>() {
-            Ok(_) => {
-                self.on_crash(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<Restart>() {
-            Ok(_) => {
-                self.on_restart(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        if self.crashed {
-            // Down: acks, ticks, drains, and reports all blackhole.
-            drop(msg);
-            return;
+    /// Publishes the initial map.
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.install(ctx);
+    }
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_>) {
+        // A restore owes its `TierRestore` event: emit it on the first
+        // tick after the zero-delay reconcile replies have landed. The
+        // epoch is read *now* (not at restore time) so a rejoin racing
+        // the restore can only push it forward.
+        if let Some((seq, reconciled)) = self.plane.restore_pending.take() {
+            let epoch = self.map.epoch();
+            let handed_off = self.ledger_handed_off;
+            ctx.emit(|| TraceEvent::TierRestore {
+                seq,
+                epoch,
+                reconciled,
+                handed_off,
+            });
+            self.counters.restores += 1;
         }
+        let now = ctx.now();
+        for g in 0..self.shards.len() {
+            self.plane.members[g].tally();
+            if self.shards[g].retired {
+                continue;
+            }
+            // Never fence the last shard standing: there is no peer to
+            // absorb its keys, so deposing it would only halt the tier
+            // (and on recovery produce a rejoin with no matching
+            // depose). Keep granting; a restarted shard re-enrolls off
+            // the next ordinary grant.
+            let last_standing = self.map.members().len() == 1 && self.map.contains(g as u32);
+            match self.plane.decide(g, now, last_standing) {
+                Decision::Grant(grant) => self.plane.send_grant(ctx, g, grant),
+                // Silent past the threshold and the last grant has
+                // provably expired: the shard has already self-fenced
+                // on its own clock. Depose it.
+                Decision::Fence => self.depose(ctx, g as u32),
+                Decision::Hold => {}
+            }
+        }
+    }
+
+    /// Writes the controller's durable state to (modeled) stable
+    /// storage as encoded bytes, and emits the `TierSnapshot` event
+    /// rule 15 audits.
+    fn on_snapshot(&mut self, ctx: &mut Ctx<'_>) {
+        let snap = TierSnapshot {
+            seq: self.plane.next_snapshot_seq(),
+            epoch: self.map.epoch(),
+            handed_off: self.ledger_handed_off,
+            vnodes: self.map.vnodes(),
+            members: self.map.members().to_vec(),
+            shards: self
+                .plane
+                .members
+                .iter()
+                .zip(&self.shards)
+                .map(|(m, s)| ShardSnap {
+                    epoch: m.view.epoch,
+                    lease_until_ns: m.view.lease_until.as_nanos(),
+                    incarnation: s.incarnation,
+                    fenced: m.view.fenced,
+                    retired: s.retired,
+                })
+                .collect(),
+        };
+        self.stable = Some(snap.encode());
+        self.counters.snapshots += 1;
+        let (seq, epoch, shards, handed_off) = (
+            snap.seq,
+            snap.epoch,
+            snap.members.len() as u64,
+            snap.handed_off,
+        );
+        ctx.emit(|| TraceEvent::TierSnapshot {
+            seq,
+            epoch,
+            shards,
+            handed_off,
+        });
+    }
+
+    /// Recovers the controller: decode the stable snapshot (warm) or
+    /// keep reconciling from scratch (cold), conservatively re-bound
+    /// every lease, then query the router's map and every live shard's
+    /// epoch. The map epoch never regresses: the stable snapshot is
+    /// written through on every membership change, so it can never
+    /// trail the router's installed map, and the `MapQuery` reply only
+    /// moves the controller forward.
+    fn on_restore(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let lease = self.cfg.lease;
+        let warm = self
+            .stable
+            .as_deref()
+            .and_then(|bytes| TierSnapshot::decode(bytes).ok())
+            // A snapshot for a different shard roster cannot be ours.
+            .filter(|snap| snap.shards.len() == self.shards.len() && !snap.members.is_empty());
+        let restored_seq = match warm {
+            Some(snap) => {
+                self.map = Arc::new(ShardMap::new(snap.epoch, &snap.members, snap.vnodes));
+                self.ledger_handed_off = snap.handed_off;
+                for ((m, s), ss) in self
+                    .plane
+                    .members
+                    .iter_mut()
+                    .zip(&mut self.shards)
+                    .zip(&snap.shards)
+                {
+                    m.view = ControllerView::restore(
+                        ss.epoch,
+                        ss.fenced,
+                        SimTime::from_nanos(ss.lease_until_ns),
+                        now,
+                        lease,
+                    );
+                    m.clear_tally();
+                    s.retired = ss.retired;
+                    s.incarnation = ss.incarnation;
+                }
+                snap.seq
+            }
+            None => {
+                // Cold rebuild: the snapshot is missing or rejected by
+                // the codec. Keep the in-memory state (equivalent to
+                // what the reconcile queries below would hand back) but
+                // trust none of its timing: re-bound every unfenced
+                // lease as if a grant left the instant before the
+                // crash.
+                self.counters.cold_restores += 1;
+                for m in &mut self.plane.members {
+                    if !m.view.fenced {
+                        m.view.lease_until = m.view.lease_until.max(now + lease);
+                    }
+                    m.clear_tally();
+                }
+                0
+            }
+        };
+        // Reconcile: the router's map (never behind stable — every map
+        // change writes through before the install leaves) and every
+        // live shard's current epoch, all zero-delay so the reports
+        // land before the first post-restore tick.
+        let reply_to = ctx.self_id();
+        ctx.send(self.router, SimDuration::ZERO, MapQuery { reply_to });
+        for (m, s) in self.plane.members.iter().zip(&self.shards) {
+            if !s.retired {
+                ctx.send(m.component, SimDuration::ZERO, EpochQuery { reply_to });
+            }
+        }
+        self.plane.restore_pending = Some((restored_seq, 0));
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
         let msg = match msg.downcast::<StartTier>() {
             Ok(_) => {
-                if !self.started {
-                    self.started = true;
-                    self.install(ctx);
-                    if !self.cfg.snapshot_interval.is_zero() {
-                        self.take_snapshot(ctx);
-                        ctx.send_self(self.cfg.snapshot_interval, SnapTick { gen: self.snap_gen });
-                    }
-                    self.on_tick(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<TierTick>() {
-            Ok(t) => {
-                if t.gen == self.tick_gen {
-                    self.on_tick(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<SnapTick>() {
-            Ok(t) => {
-                if t.gen == self.snap_gen {
-                    self.take_snapshot(ctx);
-                    ctx.send_self(self.cfg.snapshot_interval, SnapTick { gen: t.gen });
-                }
+                self.start(ctx);
                 return;
             }
             Err(other) => other,
@@ -1551,26 +1372,25 @@ impl Component for TierController {
             }
             Err(other) => other,
         };
-        let msg = match msg.downcast::<HandoffReport>() {
+        match msg.downcast::<HandoffReport>() {
             Ok(r) => {
-                if !self.is_cut(r.from, ctx.now()) {
+                if !self.plane.is_cut(ctx.now(), r.from) {
                     self.ledger_handed_off += r.count;
                     self.write_through(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        match msg.downcast::<NetCutFrom>() {
-            Ok(c) => {
-                let until = ctx.now() + c.duration;
-                for peer in c.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
                 }
             }
             Err(other) => panic!("tier controller received unknown message {other:?}"),
         }
+    }
+}
+
+impl Component for TierController {
+    fn name(&self) -> &str {
+        "tier-controller"
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+        self.dispatch(ctx, msg);
     }
 }
 
@@ -1903,7 +1723,6 @@ mod tests {
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
-            any::<u64>(),
             1u32..64,
             proptest::collection::btree_set(0u32..32, 1..8),
             proptest::collection::vec(
@@ -1917,11 +1736,10 @@ mod tests {
                 1..8,
             ),
         )
-            .prop_map(|(seq, epoch, round, handed_off, vnodes, members, shards)| {
-                TierSnapshot {
+            .prop_map(
+                |(seq, epoch, handed_off, vnodes, members, shards)| TierSnapshot {
                     seq,
                     epoch,
-                    round,
                     handed_off,
                     vnodes,
                     members: members.into_iter().collect(),
@@ -1937,8 +1755,8 @@ mod tests {
                             },
                         )
                         .collect(),
-                }
-            })
+                },
+            )
     }
 
     proptest! {
@@ -2020,7 +1838,6 @@ mod tests {
         let snap = TierSnapshot {
             seq: 3,
             epoch: 9,
-            round: 40,
             handed_off: 7,
             vnodes: 16,
             members: vec![0, 2],

@@ -1135,7 +1135,6 @@ impl Component for HostBackend {
                         ping.reply_to,
                         SimDuration::ZERO,
                         HealthPong {
-                            seq: ping.seq,
                             from: ctx.self_id(),
                         },
                     );
@@ -1179,7 +1178,6 @@ impl Component for HostBackend {
                     lnic_sim::fault::LeaseAck {
                         from: ctx.self_id(),
                         epoch: self.lease_epoch,
-                        seq: grant.seq,
                         // The restart epoch bumps exactly once per crash.
                         incarnation: self.restart_epoch,
                     },

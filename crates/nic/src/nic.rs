@@ -1469,7 +1469,6 @@ impl Component for Nic {
                         ping.reply_to,
                         SimDuration::ZERO,
                         lnic_sim::fault::HealthPong {
-                            seq: ping.seq,
                             from: ctx.self_id(),
                         },
                     );
@@ -1528,7 +1527,6 @@ impl Component for Nic {
                     lnic_sim::fault::LeaseAck {
                         from: ctx.self_id(),
                         epoch: self.lease_epoch,
-                        seq: grant.seq,
                         // The swap epoch bumps exactly once per crash.
                         incarnation: self.swap_epoch,
                     },

@@ -105,12 +105,10 @@ pub struct Corrupt {
 
 /// Health probe sent by a controller to a worker.
 ///
-/// Live workers answer with [`HealthPong`] carrying the same sequence
-/// number; crashed workers stay silent, which is the failure signal.
+/// Live workers answer with a [`HealthPong`]; crashed workers stay
+/// silent, which is the failure signal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HealthPing {
-    /// Sequence number echoed in the pong.
-    pub seq: u64,
     /// Where to send the pong.
     pub reply_to: ComponentId,
 }
@@ -118,8 +116,6 @@ pub struct HealthPing {
 /// A worker's answer to a [`HealthPing`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HealthPong {
-    /// The probed sequence number.
-    pub seq: u64,
     /// The responding component.
     pub from: ComponentId,
 }
@@ -145,8 +141,6 @@ pub struct GrantLease {
     pub epoch: u64,
     /// Absolute instant (ns) the lease runs out.
     pub until_ns: u64,
-    /// Renewal round (echoed in the [`LeaseAck`]).
-    pub seq: u64,
     /// Set on the first grant after a fence: the worker bumps its epoch
     /// and discards placements stamped with older epochs.
     pub rejoin: bool,
@@ -161,8 +155,6 @@ pub struct LeaseAck {
     pub from: ComponentId,
     /// The epoch the worker now holds.
     pub epoch: u64,
-    /// The renewal round being acked.
-    pub seq: u64,
     /// The acker's restart count (0 if it never crashed). A controller
     /// that sees this jump between acks knows the member lost its
     /// volatile state even though the lease handshake looks healthy —
