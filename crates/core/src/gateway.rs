@@ -21,14 +21,14 @@ use lnic_net::packet::{
 use lnic_net::params::MTU_PAYLOAD_BYTES;
 use lnic_net::transport::{RetryPolicy, RpcTracker, TimeoutAction, UpdateService};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
-use lnic_sim::fault::{Crash, EpochQuery, EpochReport, GrantLease, LeaseAck, NetCutFrom, Restart};
+use lnic_sim::fault::{Crash, EpochQuery, GrantLease, LeaseAck, NetCutFrom, Restart};
 use lnic_sim::hash::FastMap;
+use lnic_sim::lease::{CutTable, WorkerView};
 use lnic_sim::prelude::*;
 use lnic_tenant::{TenantDirectory, TenantId, DEFAULT_TENANT};
 use lnic_workloads::kv::{decode_repkv_get_response, decode_repkv_request, RepKvOp};
 
 use crate::admission::{Admission, AdmissionParams};
-use crate::lease::{Grant, WorkerView};
 
 /// How often the gateway pushes per-endpoint latency digests to its
 /// latency observer (the fail-slow detector).
@@ -490,15 +490,13 @@ pub struct Gateway {
     gateway_id: u32,
     /// Crashed: every message except [`Restart`] is blackholed.
     crashed: bool,
-    /// Control-plane partition: direct messages from these component
-    /// indices are dropped until the recorded instant.
-    cut_from: FastMap<usize, SimTime>,
-    /// Whether this shard was ever enrolled in the tier lease regime.
-    /// Once enrolled it self-fences whenever its lease lapses —
-    /// including after a crash, when the lease state itself is lost —
-    /// so a deposed gateway provably stops accepting routed work.
-    tier_enrolled: bool,
-    /// The tier lease this shard currently holds.
+    /// Control-plane partition: direct messages from cut peers are
+    /// dropped.
+    cuts: CutTable,
+    /// The tier lease this shard holds. Once enrolled by a first grant
+    /// the shard self-fences whenever its lease lapses — including
+    /// after a crash, which lapses the lease and keeps its epoch — so a
+    /// deposed gateway provably stops accepting routed work.
     tier_lease: WorkerView,
     /// Draining: in-flight work was handed to this successor; new
     /// submits bounce until a rejoin grant re-admits the shard.
@@ -553,8 +551,7 @@ impl Gateway {
             tenant_in_flight: FastMap::default(),
             gateway_id: 0,
             crashed: false,
-            cut_from: FastMap::default(),
-            tier_enrolled: false,
+            cuts: CutTable::default(),
             tier_lease: WorkerView::new(),
             draining: None,
             incarnation: 0,
@@ -878,14 +875,6 @@ impl Gateway {
         );
     }
 
-    /// Whether direct messages from `peer` are inside an active
-    /// partition cut.
-    fn is_cut(&self, peer: ComponentId, now: SimTime) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
-    }
-
     /// Why this shard must refuse routed work right now, if at all:
     /// `"draining"` after a [`DrainGateway`], `"fenced"` once an
     /// enrolled shard's tier lease has lapsed. This is the deposed-
@@ -897,7 +886,7 @@ impl Gateway {
         if self.draining.is_some() {
             return Some("draining");
         }
-        if self.tier_enrolled && !self.tier_lease.lease.is_some_and(|l| l.live(now)) {
+        if !self.tier_lease.live(now) {
             return Some("fenced");
         }
         None
@@ -956,7 +945,7 @@ impl Gateway {
         self.pending_lat.clear();
         self.lat_timer_armed = false;
         self.busy_until = SimTime::ZERO;
-        self.tier_lease = WorkerView::new();
+        self.tier_lease.lapse();
         self.draining = None;
     }
 
@@ -981,17 +970,13 @@ impl Gateway {
     /// on a rejoin grant leave the draining state behind: the shard
     /// serves again under its bumped epoch.
     fn on_tier_grant(&mut self, ctx: &mut Ctx<'_>, grant: GrantLease) {
-        if self.is_cut(grant.reply_to, ctx.now()) {
+        if self.cuts.is_cut(ctx.now(), grant.reply_to) {
             return;
         }
-        self.tier_enrolled = true;
         self.tier_controller = Some(grant.reply_to);
-        let delivered = self.tier_lease.deliver(Grant {
-            epoch: grant.epoch,
-            until: SimTime::from_nanos(grant.until_ns),
-            rejoin: grant.rejoin,
-        });
-        let Some(epoch) = delivered else { return };
+        let Some(epoch) = self.tier_lease.deliver(grant.into()) else {
+            return;
+        };
         if grant.rejoin {
             self.draining = None;
         }
@@ -1094,7 +1079,7 @@ impl Gateway {
 
     fn on_submit(&mut self, ctx: &mut Ctx<'_>, req: SubmitRequest) {
         // Partitioned from the submitter: the message never arrived.
-        if self.is_cut(req.reply_to, ctx.now()) {
+        if self.cuts.is_cut(ctx.now(), req.reply_to) {
             return;
         }
         // Tier fencing before admission: a deposed or draining shard
@@ -1764,11 +1749,7 @@ impl Component for Gateway {
         };
         let msg = match msg.downcast::<NetCutFrom>() {
             Ok(c) => {
-                let until = ctx.now() + c.duration;
-                for peer in c.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
+                self.cuts.apply(ctx.now(), &c);
                 return;
             }
             Err(other) => other,
@@ -1785,25 +1766,17 @@ impl Component for Gateway {
                 // Restore-time reconciliation: report the tier lease
                 // epoch this shard actually holds so a restarted
                 // controller never regresses below live state.
-                let from = ctx.self_id();
-                let epoch = self.tier_lease.epoch();
-                let lease_until_ns = self.tier_lease.lease.map_or(0, |l| l.until.as_nanos());
-                ctx.send(
-                    q.reply_to,
-                    SimDuration::ZERO,
-                    EpochReport {
-                        from,
-                        epoch,
-                        lease_until_ns,
-                    },
-                );
+                if !self.cuts.is_cut(ctx.now(), q.reply_to) {
+                    let report = self.tier_lease.report(ctx.self_id());
+                    ctx.send(q.reply_to, SimDuration::ZERO, report);
+                }
                 return;
             }
             Err(other) => other,
         };
         let msg = match msg.downcast::<SetAdmissionSlice>() {
             Ok(s) => {
-                if self.is_cut(s.from, ctx.now()) {
+                if self.cuts.is_cut(ctx.now(), s.from) {
                     return; // partitioned: keep the local slice
                 }
                 match self.admission.as_mut() {

@@ -34,6 +34,7 @@ use bytes::Bytes;
 use lnic_net::packet::RC_FENCED;
 use lnic_sim::fault::{EpochQuery, EpochReport, LeaseAck, NetCutFrom};
 use lnic_sim::hash::FastMap;
+use lnic_sim::lease::CutTable;
 use lnic_sim::prelude::*;
 use lnic_workloads::planet::PlanetModel;
 use rand::Rng;
@@ -557,8 +558,8 @@ pub struct ShardRouter {
     next_uid: u64,
     pending: FastMap<u64, PendingClient>,
     counters: RouterCounters,
-    /// Direct peers currently cut (component index → until).
-    cut_from: FastMap<usize, SimTime>,
+    /// Direct peers currently cut.
+    cuts: CutTable,
 }
 
 impl ShardRouter {
@@ -577,7 +578,7 @@ impl ShardRouter {
             next_uid: 0,
             pending: FastMap::default(),
             counters: RouterCounters::default(),
-            cut_from: FastMap::default(),
+            cuts: CutTable::default(),
         }
     }
 
@@ -607,12 +608,6 @@ impl ShardRouter {
             .collect();
         uids.sort_unstable();
         uids
-    }
-
-    fn is_cut(&self, peer: ComponentId, now: SimTime) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
     }
 
     /// Sends the pending request `uid` to its owner shard.
@@ -705,7 +700,7 @@ impl ShardRouter {
         };
         // A completion cannot arrive from a shard we are partitioned
         // from; the watchdog or a map change recovers the request.
-        if self.is_cut(self.gateways[p.owner as usize], ctx.now()) {
+        if self.cuts.is_cut(ctx.now(), self.gateways[p.owner as usize]) {
             return;
         }
         let bounced = done.failed && done.return_code == Some(RC_FENCED);
@@ -870,13 +865,7 @@ impl Component for ShardRouter {
             Err(other) => other,
         };
         match msg.downcast::<NetCutFrom>() {
-            Ok(c) => {
-                let until = ctx.now() + c.duration;
-                for peer in c.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
-            }
+            Ok(c) => self.cuts.apply(ctx.now(), &c),
             Err(other) => panic!("shard router received unknown message {other:?}"),
         }
     }
@@ -1374,7 +1363,7 @@ impl Membership for TierController {
         };
         match msg.downcast::<HandoffReport>() {
             Ok(r) => {
-                if !self.plane.is_cut(ctx.now(), r.from) {
+                if !self.plane.cuts.is_cut(ctx.now(), r.from) {
                     self.ledger_handed_off += r.count;
                     self.write_through(ctx);
                 }

@@ -4,17 +4,18 @@
 //!
 //! Three layers, each used by both controllers:
 //!
-//! - **Lease/epoch algebra.** The controller ([`ControllerView`]) and
-//!   member ([`WorkerView`]) sides of the protocol, with no simulation
-//!   machinery, so the safety arguments can be property-tested directly
-//!   over arbitrary interleavings of grants, message loss, clock
-//!   advance, fencing, and rejoin.
+//! - **Lease/epoch algebra.** The controller side ([`ControllerView`]),
+//!   with no simulation machinery, so the safety arguments can be
+//!   property-tested directly against the member side ([`WorkerView`],
+//!   re-exported from [`lnic_sim::lease`], which every leased NIC, host
+//!   and gateway shard runs) over arbitrary interleavings of grants,
+//!   message loss, clock advance, member crashes, fencing, and rejoin.
 //! - **Member table and round.** One `Member` record per member and
 //!   one per-round `Decision`: renew, rejoin probe, fence once the
 //!   last lease has provably expired, or hold.
 //! - **Control-plane lifecycle.** `ControlPlane` and the
 //!   `Membership` trait: crash/restart with timer generations,
-//!   partition cuts ([`NetCutFrom`]), snapshot cadence with
+//!   partition cuts ([`NetCutFrom`], one [`CutTable`]), snapshot cadence with
 //!   write-through, and restore reconciliation. Each controller is an
 //!   adapter that says what a round, a snapshot and a restore mean for
 //!   its members and which events it emits.
@@ -38,45 +39,10 @@
 //! is at least its own.
 
 use lnic_sim::fault::{Crash, GrantLease, NetCutFrom, Restart};
-use lnic_sim::hash::FastMap;
+use lnic_sim::lease::CutTable;
 use lnic_sim::prelude::*;
 
-/// Whether a lease that runs out at `until` has provably expired at
-/// `now` — the only condition under which fencing is safe.
-pub fn provably_expired(now: SimTime, until: SimTime) -> bool {
-    now >= until
-}
-
-/// A bounded lease: the right to serve requests at `epoch` until
-/// `until`, and not a nanosecond longer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Lease {
-    /// The fencing token this lease was granted under.
-    pub epoch: u64,
-    /// The instant the right to serve lapses.
-    pub until: SimTime,
-}
-
-impl Lease {
-    /// Whether the lease still authorizes serving at `now`.
-    pub fn live(&self, now: SimTime) -> bool {
-        !provably_expired(now, self.until)
-    }
-}
-
-/// A lease grant in flight from controller to worker. Grants may be
-/// lost (partition) but are never reordered with respect to other
-/// grants to the same worker in the real protocol (zero-delay direct
-/// delivery); the property tests model loss only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Grant {
-    /// The epoch the grant carries (a rejoin grant bumps it).
-    pub epoch: u64,
-    /// The instant the granted lease runs out.
-    pub until: SimTime,
-    /// Whether this is a rejoin probe for a fenced worker.
-    pub rejoin: bool,
-}
+pub use lnic_sim::lease::{provably_expired, Grant, Lease, WorkerView};
 
 /// The controller's bookkeeping for one member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,53 +151,6 @@ impl ControllerView {
         self.epoch = self.epoch.max(epoch);
         self.lease_until = self.lease_until.max(until);
         ahead
-    }
-}
-
-/// The worker's side of the protocol: the lease it currently holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkerView {
-    /// The lease the worker last adopted, if any.
-    pub lease: Option<Lease>,
-}
-
-impl WorkerView {
-    /// A worker that has never been granted a lease (serves unfenced,
-    /// like a testbed without failover).
-    pub fn new() -> Self {
-        WorkerView { lease: None }
-    }
-
-    /// The worker's current epoch (0 before any grant).
-    pub fn epoch(&self) -> u64 {
-        self.lease.map_or(0, |l| l.epoch)
-    }
-
-    /// Whether the worker believes it may serve at `now`. A worker that
-    /// has never held a lease serves unconditionally; one that has
-    /// self-fences the moment its lease lapses.
-    pub fn live(&self, now: SimTime) -> bool {
-        self.lease.is_none_or(|l| l.live(now))
-    }
-
-    /// Delivers a grant: adopted only when its token is at least as
-    /// fresh as the worker's own (tokens never regress). Returns the
-    /// epoch to ack, or `None` when the grant was stale and dropped.
-    pub fn deliver(&mut self, grant: Grant) -> Option<u64> {
-        if grant.epoch < self.epoch() {
-            return None;
-        }
-        self.lease = Some(Lease {
-            epoch: grant.epoch,
-            until: grant.until,
-        });
-        Some(grant.epoch)
-    }
-}
-
-impl Default for WorkerView {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -378,9 +297,8 @@ pub(crate) struct ControlPlane {
     /// Monotonic snapshot sequence (survives crashes, like the
     /// snapshot it numbers).
     snap_seq: u64,
-    /// Peers currently cut (component index → until): their direct
-    /// messages are dropped.
-    cut_from: FastMap<usize, SimTime>,
+    /// Peers currently cut: their direct messages are dropped.
+    pub cuts: CutTable,
 }
 
 impl ControlPlane {
@@ -395,7 +313,7 @@ impl ControlPlane {
             tick_gen: 0,
             snap_gen: 0,
             snap_seq: 0,
-            cut_from: FastMap::default(),
+            cuts: CutTable::default(),
         }
     }
 
@@ -415,19 +333,12 @@ impl ControlPlane {
         self.snap_seq
     }
 
-    /// Whether a message from `peer` is inside an active partition cut.
-    pub fn is_cut(&self, now: SimTime, peer: ComponentId) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
-    }
-
     /// The member a message from `from` speaks for: `None` for a
     /// stranger, or for a peer inside a partition cut (its message
     /// never arrived).
     pub fn member_of(&self, now: SimTime, from: ComponentId) -> Option<usize> {
         let i = self.members.iter().position(|m| m.component == from)?;
-        (!self.is_cut(now, from)).then_some(i)
+        (!self.cuts.is_cut(now, from)).then_some(i)
     }
 
     /// Decides member `i`'s round (see [`Member::decide`]).
@@ -555,12 +466,7 @@ pub(crate) trait Membership {
         };
         let msg = match msg.downcast::<NetCutFrom>() {
             Ok(cut) => {
-                let plane = self.plane();
-                let until = ctx.now() + cut.duration;
-                for peer in &cut.peers {
-                    let slot = plane.cut_from.entry(peer.index()).or_insert(until);
-                    *slot = (*slot).max(until);
-                }
+                self.plane().cuts.apply(ctx.now(), &cut);
                 return;
             }
             Err(other) => other,
@@ -637,6 +543,9 @@ mod tests {
         GrantAcked,
         /// Controller attempts to fence.
         TryFence,
+        /// The member crashes and restarts: its lease lapses, its
+        /// epoch survives.
+        Crash,
         /// One shared lease round: tally, then [`Member::decide`]. A
         /// grant it sends is delivered iff `delivered`, and acked iff
         /// `acked` as well; `pinned` is the tier's last-standing guard.
@@ -653,6 +562,7 @@ mod tests {
             any::<bool>().prop_map(|delivered| Op::Grant { delivered }),
             Just(Op::GrantAcked),
             Just(Op::TryFence),
+            Just(Op::Crash),
             (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(delivered, acked, pinned)| {
                 Op::Round {
                     delivered,
@@ -698,6 +608,7 @@ mod tests {
                     return (Some(m.view.epoch), false);
                 }
             }
+            Op::Crash => worker.lapse(),
             Op::Round {
                 delivered,
                 acked,
@@ -727,23 +638,9 @@ mod tests {
     }
 
     proptest! {
-        /// Once lapsed, a lease never un-lapses as the clock advances.
-        #[test]
-        fn expiry_is_monotone_under_clock_advance(
-            until_ns in 0u64..1_000_000,
-            t0_ns in 0u64..1_000_000,
-            dt_ns in 0u64..1_000_000,
-        ) {
-            let lease = Lease { epoch: 1, until: SimTime::from_nanos(until_ns) };
-            let t0 = SimTime::from_nanos(t0_ns);
-            let t1 = SimTime::from_nanos(t0_ns + dt_ns);
-            if !lease.live(t0) {
-                prop_assert!(!lease.live(t1), "lease un-lapsed between {t0:?} and {t1:?}");
-            }
-        }
-
         /// Over arbitrary schedules of grants, losses, clock advances,
-        /// fences, rejoins, and shared lease rounds: epochs never regress
+        /// member crashes, fences, rejoins, and shared lease rounds:
+        /// epochs never regress
         /// on either side, and there is never an instant at which the
         /// controller has fenced the worker while the worker still
         /// believes its lease is live (the "two unfenced owners"
@@ -825,28 +722,5 @@ mod tests {
         let v3 = ControllerView::restore(7, true, far, now, LEASE);
         assert_eq!(v3.lease_until, far);
         assert!(v3.fenced);
-    }
-
-    #[test]
-    fn stale_grant_is_dropped_by_worker() {
-        let mut worker = WorkerView::new();
-        assert_eq!(
-            worker.deliver(Grant {
-                epoch: 3,
-                until: SimTime::from_nanos(100),
-                rejoin: false
-            }),
-            Some(3)
-        );
-        assert_eq!(
-            worker.deliver(Grant {
-                epoch: 2,
-                until: SimTime::from_nanos(200),
-                rejoin: false
-            }),
-            None,
-            "a stale token must not be adopted"
-        );
-        assert_eq!(worker.epoch(), 3);
     }
 }

@@ -334,3 +334,67 @@ fn set_placement_message_updates_routing() {
     assert_eq!(sent[0].1.eth.dst, new_endpoint.mac);
     assert_eq!(sent[0].1.dst_addr(), new_endpoint.addr);
 }
+
+/// Stands in for the tier controller: records lease acks and epoch
+/// reports.
+#[derive(Default)]
+struct TierCtl {
+    acks: Vec<lnic_sim::fault::LeaseAck>,
+    reports: Vec<lnic_sim::fault::EpochReport>,
+}
+
+impl Component for TierCtl {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
+        match msg.downcast::<lnic_sim::fault::LeaseAck>() {
+            Ok(ack) => self.acks.push(*ack),
+            Err(other) => self.reports.push(
+                *other
+                    .downcast::<lnic_sim::fault::EpochReport>()
+                    .expect("acks and reports only"),
+            ),
+        }
+    }
+}
+
+#[test]
+fn restarted_shard_reports_its_epoch_and_bounces_until_re_leased() {
+    use lnic_sim::fault::{Crash, EpochQuery, GrantLease, Restart};
+    let (mut sim, gw, wire, client) = setup(GatewayParams::default());
+    let ctl = sim.add(TierCtl::default());
+    let ms = SimDuration::from_millis;
+    let grant = |epoch, until: SimDuration| GrantLease {
+        epoch,
+        until_ns: until.as_nanos(),
+        rejoin: false,
+        reply_to: ctl,
+    };
+    sim.post(gw, ms(0), grant(3, ms(100)));
+    sim.post(gw, ms(1), Crash);
+    sim.post(gw, ms(2), Restart);
+    sim.post(gw, ms(3), EpochQuery { reply_to: ctl });
+    // Restarted with a lapsed lease: routed work bounces.
+    sim.post(gw, ms(4), submit(b"a", client, 1));
+    sim.post(gw, ms(5), grant(3, ms(100)));
+    sim.post(gw, ms(6), submit(b"b", client, 2));
+    sim.run_for(ms(7));
+
+    // The crash lapsed the lease but kept its epoch.
+    let reports = &sim.get::<TierCtl>(ctl).unwrap().reports;
+    assert_eq!(reports.len(), 1);
+    assert_eq!((reports[0].epoch, reports[0].lease_until_ns), (3, 0));
+    let done = &sim.get::<Client>(client).unwrap().done;
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].1.token, 1);
+    assert_eq!(done[0].1.return_code, Some(lnic_net::packet::RC_FENCED));
+    assert_eq!(sim.get::<Gateway>(gw).unwrap().counters().bounced, 1);
+    // Re-leased: the next submit goes out on the wire.
+    assert_eq!(sim.get::<Wire>(wire).unwrap().sent.len(), 1);
+    let acks: Vec<u64> = sim
+        .get::<TierCtl>(ctl)
+        .unwrap()
+        .acks
+        .iter()
+        .map(|a| a.epoch)
+        .collect();
+    assert_eq!(acks, [3, 3]);
+}

@@ -26,6 +26,7 @@ pub use lnic_net::transport::UpdateService;
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_sim::fault::{Crash, HealthPing, HealthPong, Restart, StallFor};
 use lnic_sim::hash::FastMap;
+use lnic_sim::lease::{CutTable, WorkerView};
 use lnic_sim::prelude::*;
 use rand::Rng;
 
@@ -195,14 +196,13 @@ pub struct HostBackend {
     slow_until: SimTime,
     slow_factor: f64,
 
-    /// Fencing token held under the lease regime (0 until first grant).
-    lease_epoch: u64,
-    /// End of the current lease; `None` until the controller first
-    /// grants one (legacy heartbeat testbeds never set it).
-    lease_until: Option<SimTime>,
-    /// Peers (by component index) this node is partitioned from, and
-    /// until when; direct control messages from them are dropped.
-    cut_from: FastMap<usize, SimTime>,
+    /// The lease and fencing token held under the lease regime; no
+    /// lease until the controller first grants one (legacy heartbeat
+    /// testbeds never get one).
+    lease: WorkerView,
+    /// Peers this node is partitioned from; direct control messages
+    /// from them are dropped.
+    cuts: CutTable,
 }
 
 impl HostBackend {
@@ -240,9 +240,8 @@ impl HostBackend {
             last_program: None,
             slow_until: SimTime::ZERO,
             slow_factor: 1.0,
-            lease_epoch: 0,
-            lease_until: None,
-            cut_from: FastMap::default(),
+            lease: WorkerView::new(),
+            cuts: CutTable::default(),
         }
     }
 
@@ -285,39 +284,6 @@ impl HostBackend {
         self.crashed
     }
 
-    /// The fencing token this worker currently serves under.
-    pub fn lease_epoch(&self) -> u64 {
-        self.lease_epoch
-    }
-
-    /// Whether the worker holds a live lease at `now` (vacuously true
-    /// when no lease regime has ever been established).
-    pub fn lease_live(&self, now: SimTime) -> bool {
-        self.lease_until.is_none_or(|until| now < until)
-    }
-
-    /// Whether a direct control message from `peer` is inside an active
-    /// partition cut.
-    fn is_cut_from(&self, now: SimTime, peer: ComponentId) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
-    }
-
-    /// Returns the worker's epoch when the given header must be fenced:
-    /// either the worker's own lease lapsed (self-fence until rejoin),
-    /// or the work carries a token older than the current epoch. Epoch
-    /// 0 marks unfenced traffic (worker-to-worker RPCs, testbeds
-    /// without a lease regime) and bypasses the staleness comparison —
-    /// it is still refused once the lease lapses.
-    fn fence_check(&self, hdr: &LambdaHdr, now: SimTime) -> Option<u64> {
-        self.lease_until?;
-        if !self.lease_live(now) || (hdr.epoch != 0 && hdr.epoch < self.lease_epoch) {
-            return Some(self.lease_epoch);
-        }
-        None
-    }
-
     /// Refuses fenced work with a typed `RC_FENCED` reply so the sender
     /// re-resolves the placement instead of waiting out its timer.
     fn reject_fenced(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest, worker_epoch: u64) {
@@ -331,7 +297,7 @@ impl HostBackend {
         });
         let mut resp_hdr = hdr.response_to(RC_FENCED);
         resp_hdr.queue_depth = self.runq.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = pending
             .reply_template
             .reply_to()
@@ -426,12 +392,8 @@ impl HostBackend {
         self.code = None;
         self.deployed_mem.clear();
         self.restart_epoch += 1;
-        // A lease does not survive a crash: the restarted worker must
-        // not serve until the controller renews it (the epoch itself is
-        // stable storage and persists).
-        if self.lease_until.is_some() {
-            self.lease_until = Some(SimTime::ZERO);
-        }
+        // A lease does not survive a crash; its epoch does.
+        self.lease.lapse();
     }
 
     /// Begins recovery: the runtime pays `restart_time` before the
@@ -621,7 +583,7 @@ impl HostBackend {
         });
         let mut resp_hdr = hdr.response_to(RC_EXPIRED);
         resp_hdr.queue_depth = self.runq.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = pending
             .reply_template
             .reply_to()
@@ -641,7 +603,7 @@ impl HostBackend {
             self.counters.dropped_crashed += 1;
             return;
         }
-        if let Some(epoch) = self.fence_check(&pending.req_hdr, ctx.now()) {
+        if let Some(epoch) = self.lease.fence_check(ctx.now(), pending.req_hdr.epoch) {
             self.reject_fenced(ctx, &pending, epoch);
             return;
         }
@@ -972,7 +934,7 @@ impl HostBackend {
         // Advertise the run-queue depth so the gateway can route and
         // shed against backpressure.
         resp_hdr.queue_depth = self.runq.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = job
             .reply_template
             .reply_to()
@@ -990,7 +952,7 @@ impl HostBackend {
         self.workers[worker].state = WorkerState::Idle;
         // Skip requests fenced or expired while they waited.
         while let Some(pending) = self.runq.pop_front() {
-            if let Some(epoch) = self.fence_check(&pending.req_hdr, ctx.now()) {
+            if let Some(epoch) = self.lease.fence_check(ctx.now(), pending.req_hdr.epoch) {
                 self.reject_fenced(ctx, &pending, epoch);
                 continue;
             }
@@ -1099,11 +1061,7 @@ impl Component for HostBackend {
         };
         let msg = match msg.downcast::<lnic_sim::fault::NetCutFrom>() {
             Ok(cut) => {
-                let until = ctx.now() + cut.duration;
-                for peer in &cut.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
+                self.cuts.apply(ctx.now(), &cut);
                 return;
             }
             Err(other) => other,
@@ -1130,7 +1088,7 @@ impl Component for HostBackend {
         }
         let msg = match msg.downcast::<HealthPing>() {
             Ok(ping) => {
-                if !self.crashed && !self.is_cut_from(ctx.now(), ping.reply_to) {
+                if !self.crashed && !self.cuts.is_cut(ctx.now(), ping.reply_to) {
                     ctx.send(
                         ping.reply_to,
                         SimDuration::ZERO,
@@ -1146,29 +1104,22 @@ impl Component for HostBackend {
         let msg = match msg.downcast::<lnic_sim::fault::GrantLease>() {
             Ok(grant) => {
                 // A crashed worker is silent; a partitioned one never
-                // saw the grant. Stale grants (lower epoch than held)
-                // are ignored — fencing tokens never regress.
-                if self.crashed
-                    || self.is_cut_from(ctx.now(), grant.reply_to)
-                    || grant.epoch < self.lease_epoch
-                {
+                // saw the grant. An adopted grant replaces the held
+                // lease (a pre-expired rejoin probe stops serving until
+                // the grant after its ack); a stale one is dropped.
+                if self.crashed || self.cuts.is_cut(ctx.now(), grant.reply_to) {
                     return;
                 }
-                let rejoining = grant.rejoin && grant.epoch > self.lease_epoch;
-                self.lease_epoch = grant.epoch;
-                // Adopt the controller's *absolute* expiry: a grant that
-                // sat in a stalled worker's backlog must not extend the
-                // lease past what the controller recorded at issue time.
-                // (Rejoin probes arrive pre-expired; serving resumes
-                // with the regular grant that follows the ack.)
-                let until = SimTime::from_nanos(grant.until_ns);
-                self.lease_until = Some(self.lease_until.map_or(until, |held| held.max(until)));
-                if rejoining {
+                let held = self.lease.epoch();
+                let Some(epoch) = self.lease.deliver((*grant).into()) else {
+                    return;
+                };
+                if grant.rejoin && epoch > held {
                     // Drop pre-partition placements: everything still
                     // queued was stamped with an older epoch. Refuse it
                     // now so senders re-resolve immediately.
                     while let Some(pending) = self.runq.pop_front() {
-                        self.reject_fenced(ctx, &pending, self.lease_epoch);
+                        self.reject_fenced(ctx, &pending, epoch);
                     }
                     self.reassembler = Reassembler::new();
                 }
@@ -1177,7 +1128,7 @@ impl Component for HostBackend {
                     SimDuration::ZERO,
                     lnic_sim::fault::LeaseAck {
                         from: ctx.self_id(),
-                        epoch: self.lease_epoch,
+                        epoch,
                         // The restart epoch bumps exactly once per crash.
                         incarnation: self.restart_epoch,
                     },
@@ -1188,16 +1139,9 @@ impl Component for HostBackend {
         };
         let msg = match msg.downcast::<lnic_sim::fault::EpochQuery>() {
             Ok(q) => {
-                if !self.crashed && !self.is_cut_from(ctx.now(), q.reply_to) {
-                    ctx.send(
-                        q.reply_to,
-                        SimDuration::ZERO,
-                        lnic_sim::fault::EpochReport {
-                            from: ctx.self_id(),
-                            epoch: self.lease_epoch,
-                            lease_until_ns: self.lease_until.map_or(0, |t| t.as_nanos()),
-                        },
-                    );
+                if !self.crashed && !self.cuts.is_cut(ctx.now(), q.reply_to) {
+                    let report = self.lease.report(ctx.self_id());
+                    ctx.send(q.reply_to, SimDuration::ZERO, report);
                 }
                 return;
             }
@@ -1265,7 +1209,7 @@ impl Component for HostBackend {
                     self.counters.dropped_crashed += 1;
                     return;
                 }
-                if self.lease_until.is_some() && d.epoch < self.lease_epoch {
+                if d.epoch < self.lease.epoch() {
                     // A deploy stamped before this worker's last rejoin:
                     // the placement decision behind it has been fenced.
                     self.counters.fenced_rejects += 1;
@@ -1273,7 +1217,7 @@ impl Component for HostBackend {
                         request_id: 0,
                         workload_id: 0,
                         hdr_epoch: d.epoch,
-                        worker_epoch: self.lease_epoch,
+                        worker_epoch: self.lease.epoch(),
                     });
                     return;
                 }

@@ -22,6 +22,7 @@ use lnic_net::frag::Reassembler;
 use lnic_net::packet::{LambdaHdr, LambdaKind, Packet};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_sim::hash::FastMap;
+use lnic_sim::lease::{CutTable, WorkerView};
 use lnic_sim::prelude::*;
 
 use lnic_tenant::cache::{Access, FirmwareCache};
@@ -304,17 +305,13 @@ pub struct Nic {
     /// latency-based fail-slow detection can see this).
     slow_until: SimTime,
     slow_factor: f64,
-    /// Membership: the fencing token this worker currently serves under.
-    /// Only ever increases; survives crashes (modeled as stable storage,
-    /// as a production epoch would be).
-    lease_epoch: u64,
-    /// Lease expiry. `None` until the first grant arrives (no fencing
-    /// regime: legacy heartbeat-free testbeds keep working); once
-    /// leased, the worker self-fences when the clock passes this.
-    lease_until: Option<SimTime>,
-    /// Partition windows: direct control messages from these component
-    /// indices are blackholed until the stored instant.
-    cut_from: FastMap<usize, SimTime>,
+    /// Membership: the lease and fencing token this worker serves
+    /// under. No lease until the first grant (no fencing regime: legacy
+    /// heartbeat-free testbeds keep working).
+    lease: WorkerView,
+    /// Partition windows: direct control messages from cut peers are
+    /// blackholed.
+    cuts: CutTable,
     /// NIC-resident services by workload id: intercepted ahead of the
     /// firmware dispatch path and delegated to a co-located component
     /// (the replicated KV replica).
@@ -383,9 +380,8 @@ impl Nic {
             stalled_until: SimTime::ZERO,
             slow_until: SimTime::ZERO,
             slow_factor: 1.0,
-            lease_epoch: 0,
-            lease_until: None,
-            cut_from: FastMap::default(),
+            lease: WorkerView::new(),
+            cuts: CutTable::default(),
             resident: FastMap::default(),
             resident_pending: FastMap::default(),
             resident_next_token: 0,
@@ -548,39 +544,6 @@ impl Nic {
         self.crashed
     }
 
-    /// The fencing token this worker currently serves under.
-    pub fn lease_epoch(&self) -> u64 {
-        self.lease_epoch
-    }
-
-    /// Whether the worker holds a live lease at `now` (vacuously true
-    /// when no lease regime has ever been established).
-    pub fn lease_live(&self, now: SimTime) -> bool {
-        self.lease_until.is_none_or(|until| now < until)
-    }
-
-    /// Whether a direct control message from `peer` is inside an active
-    /// partition cut.
-    fn is_cut_from(&self, now: SimTime, peer: ComponentId) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
-    }
-
-    /// Returns the worker's epoch when the given header must be fenced:
-    /// either the worker's own lease lapsed (self-fence until rejoin),
-    /// or the work carries a token older than the current epoch. Epoch
-    /// 0 marks unfenced traffic (worker-to-worker RPCs, testbeds
-    /// without a lease regime) and bypasses the staleness comparison —
-    /// it is still refused once the lease lapses.
-    fn fence_check(&self, hdr: &LambdaHdr, now: SimTime) -> Option<u64> {
-        self.lease_until?;
-        if !self.lease_live(now) || (hdr.epoch != 0 && hdr.epoch < self.lease_epoch) {
-            return Some(self.lease_epoch);
-        }
-        None
-    }
-
     /// Refuses fenced work with a typed `RC_FENCED` reply so the sender
     /// re-resolves the placement instead of waiting out its timer.
     fn reject_fenced(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest, worker_epoch: u64) {
@@ -594,7 +557,7 @@ impl Nic {
         });
         let mut resp_hdr = hdr.response_to(lnic_net::packet::RC_FENCED);
         resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = pending
             .reply_template
             .reply_to()
@@ -662,12 +625,8 @@ impl Nic {
         self.deployed_mem = Vec::new();
         self.swapping = false;
         self.swap_epoch += 1;
-        // A lease does not survive a crash: the restarted worker must
-        // not serve until the controller renews it (the epoch itself is
-        // stable storage and persists).
-        if self.lease_until.is_some() {
-            self.lease_until = Some(SimTime::ZERO);
-        }
+        // A lease does not survive a crash; its epoch does.
+        self.lease.lapse();
     }
 
     /// Recovers a crashed NIC: power back on and re-enter service by
@@ -803,7 +762,7 @@ impl Nic {
                 let refuse = |nic: &mut Nic, ctx: &mut Ctx<'_>, code: u16| {
                     let mut resp_hdr = hdr.response_to(code);
                     resp_hdr.queue_depth = nic.queue.len().min(u16::MAX as usize) as u16;
-                    resp_hdr.epoch = nic.lease_epoch;
+                    resp_hdr.epoch = nic.lease.epoch();
                     let reply = packet
                         .reply_to()
                         .lambda(resp_hdr)
@@ -811,7 +770,7 @@ impl Nic {
                         .build();
                     ctx.send(nic.uplink, SimDuration::ZERO, reply);
                 };
-                if let Some(worker_epoch) = self.fence_check(&hdr, ctx.now()) {
+                if let Some(worker_epoch) = self.lease.fence_check(ctx.now(), hdr.epoch) {
                     self.counters.fenced_rejects += 1;
                     ctx.emit(|| TraceEvent::FencedReject {
                         request_id: hdr.request_id,
@@ -949,7 +908,7 @@ impl Nic {
         });
         let mut resp_hdr = hdr.response_to(lnic_net::packet::RC_EXPIRED);
         resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = pending
             .reply_template
             .reply_to()
@@ -961,7 +920,7 @@ impl Nic {
 
     /// Assigns the request to an idle lambda thread or queues it.
     fn admit_to_thread(&mut self, ctx: &mut Ctx<'_>, pending: PendingRequest) {
-        if let Some(epoch) = self.fence_check(&pending.req_hdr, ctx.now()) {
+        if let Some(epoch) = self.lease.fence_check(ctx.now(), pending.req_hdr.epoch) {
             self.reject_fenced(ctx, &pending, epoch);
             return;
         }
@@ -1260,7 +1219,7 @@ impl Nic {
         resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
         // Stamp the epoch the work was served under, so the gateway can
         // discard late replies from fenced epochs.
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = job
             .reply_template
             .reply_to()
@@ -1305,7 +1264,7 @@ impl Nic {
                 tenant_id: tenant,
                 tenant_weight_milli,
             });
-            if let Some(epoch) = self.fence_check(&pending.req_hdr, ctx.now()) {
+            if let Some(epoch) = self.lease.fence_check(ctx.now(), pending.req_hdr.epoch) {
                 self.reject_fenced(ctx, &pending, epoch);
                 continue;
             }
@@ -1431,11 +1390,7 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<lnic_sim::fault::NetCutFrom>() {
             Ok(cut) => {
-                let until = ctx.now() + cut.duration;
-                for peer in &cut.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
+                self.cuts.apply(ctx.now(), &cut);
                 return;
             }
             Err(other) => other,
@@ -1464,7 +1419,7 @@ impl Component for Nic {
                 // The management endpoint answers as long as the NIC has
                 // power — including during firmware swaps — but a
                 // crashed NIC is silent, which is the failure signal.
-                if !self.crashed && !self.is_cut_from(ctx.now(), ping.reply_to) {
+                if !self.crashed && !self.cuts.is_cut(ctx.now(), ping.reply_to) {
                     ctx.send(
                         ping.reply_to,
                         SimDuration::ZERO,
@@ -1480,44 +1435,31 @@ impl Component for Nic {
         let msg = match msg.downcast::<lnic_sim::fault::GrantLease>() {
             Ok(grant) => {
                 // A crashed worker is silent; a partitioned one never
-                // saw the grant. Stale grants (lower epoch than held)
-                // are ignored — fencing tokens never regress.
-                if self.crashed
-                    || self.is_cut_from(ctx.now(), grant.reply_to)
-                    || grant.epoch < self.lease_epoch
-                {
+                // saw the grant. An adopted grant replaces the held
+                // lease (a pre-expired rejoin probe stops serving until
+                // the grant after its ack); a stale one is dropped.
+                if self.crashed || self.cuts.is_cut(ctx.now(), grant.reply_to) {
                     return;
                 }
-                let rejoining = grant.rejoin && grant.epoch > self.lease_epoch;
-                let epoch_rose = grant.epoch > self.lease_epoch;
-                self.lease_epoch = grant.epoch;
+                let held = self.lease.epoch();
+                let Some(epoch) = self.lease.deliver((*grant).into()) else {
+                    return;
+                };
+                let epoch_rose = epoch > held;
                 if epoch_rose {
                     // The fencing token doubles as a leadership fence:
                     // residents must re-derive any authority they held
                     // under the previous epoch.
                     for &svc in self.resident.values() {
-                        ctx.send(
-                            svc,
-                            SimDuration::ZERO,
-                            ResidentEpoch {
-                                epoch: self.lease_epoch,
-                            },
-                        );
+                        ctx.send(svc, SimDuration::ZERO, ResidentEpoch { epoch });
                     }
                 }
-                // Adopt the controller's *absolute* expiry: a grant that
-                // sat in a stalled worker's backlog must not extend the
-                // lease past what the controller recorded at issue time.
-                // (Rejoin probes arrive pre-expired; serving resumes
-                // with the regular grant that follows the ack.)
-                let until = SimTime::from_nanos(grant.until_ns);
-                self.lease_until = Some(self.lease_until.map_or(until, |held| held.max(until)));
-                if rejoining {
+                if grant.rejoin && epoch_rose {
                     // Drop pre-partition placements: everything still
                     // queued was stamped with an older epoch. Refuse it
                     // now so senders re-resolve immediately.
                     while let Some((_, _, pending)) = self.queue.pop() {
-                        self.reject_fenced(ctx, &pending, self.lease_epoch);
+                        self.reject_fenced(ctx, &pending, epoch);
                     }
                     self.reassembler = Reassembler::new();
                 }
@@ -1526,7 +1468,7 @@ impl Component for Nic {
                     SimDuration::ZERO,
                     lnic_sim::fault::LeaseAck {
                         from: ctx.self_id(),
-                        epoch: self.lease_epoch,
+                        epoch,
                         // The swap epoch bumps exactly once per crash.
                         incarnation: self.swap_epoch,
                     },
@@ -1537,16 +1479,9 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<lnic_sim::fault::EpochQuery>() {
             Ok(q) => {
-                if !self.crashed && !self.is_cut_from(ctx.now(), q.reply_to) {
-                    ctx.send(
-                        q.reply_to,
-                        SimDuration::ZERO,
-                        lnic_sim::fault::EpochReport {
-                            from: ctx.self_id(),
-                            epoch: self.lease_epoch,
-                            lease_until_ns: self.lease_until.map_or(0, |t| t.as_nanos()),
-                        },
-                    );
+                if !self.crashed && !self.cuts.is_cut(ctx.now(), q.reply_to) {
+                    let report = self.lease.report(ctx.self_id());
+                    ctx.send(q.reply_to, SimDuration::ZERO, report);
                 }
                 return;
             }
@@ -1589,7 +1524,7 @@ impl Component for Nic {
                 };
                 let mut resp_hdr = reply.req_hdr.response_to(done.return_code);
                 resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-                resp_hdr.epoch = self.lease_epoch;
+                resp_hdr.epoch = self.lease.epoch();
                 let packet = reply
                     .reply_template
                     .reply_to()
@@ -1668,7 +1603,7 @@ impl Component for Nic {
                     self.counters.dropped_crashed += 1;
                     return;
                 }
-                if self.lease_until.is_some() && lf.epoch < self.lease_epoch {
+                if lf.epoch < self.lease.epoch() {
                     // A deploy stamped before this worker's last rejoin:
                     // the placement decision behind it has been fenced.
                     self.counters.fenced_rejects += 1;
@@ -1676,7 +1611,7 @@ impl Component for Nic {
                         request_id: 0,
                         workload_id: 0,
                         hdr_epoch: lf.epoch,
-                        worker_epoch: self.lease_epoch,
+                        worker_epoch: self.lease.epoch(),
                     });
                     return;
                 }

@@ -537,3 +537,72 @@ fn malformed_firmware_is_refused_and_the_previous_image_keeps_serving() {
     assert_eq!(c.dropped_downtime, 1);
     assert_eq!(sim.get::<Nic>(nic).unwrap().memory_in_use_bytes(), 0);
 }
+
+/// Stands in for the failover controller: records every lease ack.
+struct AckSink {
+    acks: Vec<lnic_sim::fault::LeaseAck>,
+}
+
+impl Component for AckSink {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
+        let ack = msg
+            .downcast::<lnic_sim::fault::LeaseAck>()
+            .expect("acks only");
+        self.acks.push(*ack);
+    }
+}
+
+#[test]
+fn rejoin_probe_stops_serving_until_the_next_grant() {
+    use lnic_sim::fault::GrantLease;
+    let (mut sim, nic, sink) = testbed(NicParams::agilio_cx(), compile_fw(&web_program(b"hi")));
+    let ctl = sim.add(AckSink { acks: vec![] });
+    let probe = SimDuration::from_micros(10);
+    sim.post(
+        nic,
+        SimDuration::ZERO,
+        GrantLease {
+            epoch: 1,
+            until_ns: SimDuration::from_millis(100).as_nanos(),
+            rejoin: false,
+            reply_to: ctl,
+        },
+    );
+    // A rejoin probe carries the bumped epoch and zero serving time: it
+    // replaces the live epoch-1 lease instead of inheriting its expiry.
+    sim.post(
+        nic,
+        probe,
+        GrantLease {
+            epoch: 2,
+            until_ns: probe.as_nanos(), // expires as it arrives
+            rejoin: true,
+            reply_to: ctl,
+        },
+    );
+    let mut hdr = LambdaHdr::request(1, 9);
+    hdr.epoch = 2;
+    let req = Packet::builder()
+        .eth(GW_MAC, NIC_MAC)
+        .udp(GW_ADDR, NIC_ADDR)
+        .lambda(hdr)
+        .payload(Bytes::new())
+        .build();
+    sim.post(nic, SimDuration::from_micros(20), req);
+    sim.run();
+
+    let responses = &sim.get::<GwSink>(sink).unwrap().responses;
+    assert_eq!(responses.len(), 1);
+    let resp = responses[0].1.lambda.unwrap();
+    assert_eq!(resp.return_code, lnic_net::packet::RC_FENCED);
+    assert_eq!(resp.epoch, 2);
+    assert_eq!(sim.get::<Nic>(nic).unwrap().counters().fenced_rejects, 1);
+    let acks: Vec<u64> = sim
+        .get::<AckSink>(ctl)
+        .unwrap()
+        .acks
+        .iter()
+        .map(|a| a.epoch)
+        .collect();
+    assert_eq!(acks, [1, 2]);
+}

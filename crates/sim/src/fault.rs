@@ -12,9 +12,10 @@
 //!
 //! This module also defines the component-level control messages
 //! ([`Crash`], [`Restart`], [`StallFor`], [`LinkDown`], [`LossBurst`],
-//! [`HealthPing`]/[`HealthPong`]) in the sim crate so every backend
-//! (NIC, host, links, controllers) can downcast them without new
-//! inter-crate dependencies.
+//! [`HealthPing`]/[`HealthPong`], the lease messages) in the sim crate
+//! so every backend (NIC, host, links, controllers) can downcast them
+//! without new inter-crate dependencies; [`crate::lease`] holds the
+//! member side of the lease protocol they carry.
 
 use crate::engine::ComponentId;
 use crate::time::{SimDuration, SimTime};
@@ -132,9 +133,12 @@ pub struct HealthPong {
 /// controller recorded when it issued the grant. `epoch` is the
 /// worker's fencing token; it only ever increases, and a grant with
 /// `rejoin` set tells a healed worker to adopt the higher epoch and
-/// drop its pre-partition placements — a rejoin grant carries an
-/// already-expired `until_ns`, so serving only resumes after the ack
-/// round-trips and a regular grant follows.
+/// drop its pre-partition placements. A member adopts a grant whole: it
+/// *replaces* the held lease, `until_ns` included, rather than
+/// extending it ([`crate::lease::WorkerView::deliver`]). A rejoin grant
+/// carries an already-expired `until_ns`, so serving only resumes after
+/// the ack round-trips and a regular grant follows. A grant from a peer
+/// the member is cut from never arrived.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GrantLease {
     /// Fencing token the worker serves under while the lease is live.
@@ -164,7 +168,8 @@ pub struct LeaseAck {
 }
 
 /// Control message: a restarted controller asking a worker what epoch it
-/// holds, to reconcile a restored snapshot against reality.
+/// holds, to reconcile a restored snapshot against reality. A crashed
+/// member, or one cut from `reply_to`, does not answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochQuery {
     /// Where to send the [`EpochReport`].
@@ -176,9 +181,11 @@ pub struct EpochQuery {
 pub struct EpochReport {
     /// The reporting component.
     pub from: ComponentId,
-    /// The epoch the worker currently holds.
+    /// The epoch the worker currently holds. It survives a crash of
+    /// the worker, so a restarted member reports its last epoch.
     pub epoch: u64,
-    /// When the worker's lease runs out (ns), 0 if it never held one.
+    /// When the worker's lease runs out (ns): 0 if it never held one or
+    /// has crashed since its last grant.
     pub lease_until_ns: u64,
 }
 

@@ -51,6 +51,7 @@ pub mod check;
 pub mod engine;
 pub mod fault;
 pub mod hash;
+pub mod lease;
 pub mod message;
 pub mod metrics;
 pub mod queue;
