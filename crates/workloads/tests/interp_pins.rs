@@ -8,6 +8,12 @@
 //! exactly, or every simulated latency and trace hash moves. The image
 //! cases also pin the fuel boundary: one instruction short of a full
 //! run faults with exactly that many instructions counted.
+//!
+//! The `sweep` lines pin every fuel limit at once: for each suite lambda
+//! on one small payload, the outcome, the full `ExecStats` and a hash of
+//! object memory at every fuel `k` in `0..=n`, folded into one digest.
+//! A stop anywhere inside a straight-line run or a fused op pair must
+//! leave exactly what stepping one instruction at a time leaves.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -171,7 +177,10 @@ fn suite_lambdas_reproduce_pinned_results() {
             ));
         }
     }
-    let want: Vec<&str> = PINS.lines().filter(|l| !l.is_empty()).collect();
+    let want: Vec<&str> = PINS
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with("sweep "))
+        .collect();
     let diff: BTreeMap<usize, (&str, &str)> = want
         .iter()
         .zip(&got)
@@ -221,4 +230,69 @@ fn image_lambda_fuel_boundary_is_exact() {
     let (exact, exact_stats) = run(n);
     assert!(matches!(exact, Ok(StepOutcome::Done(_))), "{exact:?}");
     assert_eq!(exact_stats, full_stats);
+}
+
+/// Runs `code`'s lambda `idx` over `payload` with `fuel`, answering RPCs
+/// with [`kv_serve`], and returns the final outcome (the return code and
+/// response hash on completion) with its text: that outcome, the counters
+/// and a hash of object memory.
+fn run_with_fuel(
+    program: &Program,
+    code: &Arc<Code>,
+    idx: usize,
+    payload: &Bytes,
+    fuel: u64,
+) -> (Result<(u64, u64), ExecError>, String) {
+    let mut mem = ObjectMemory::for_lambda(&program.lambdas[idx]);
+    let ctx = RequestCtx {
+        payload: payload.clone(),
+        ..RequestCtx::default()
+    };
+    let mut exec = Execution::start(Arc::clone(code), idx, ctx, fuel);
+    let mut outcome = exec.run(&mut mem);
+    while let Ok(StepOutcome::NetCall { service, payload }) = outcome {
+        outcome = exec.resume(&mut mem, &kv_serve(service, payload));
+    }
+    let objects = program.lambdas[idx].objects.len();
+    let mem_hash = (0..objects).fold(0u64, |h, o| h ^ fnv1a(mem.object(o)).rotate_left(o as u32));
+    let outcome = outcome.map(|o| match o {
+        StepOutcome::Done(done) => {
+            assert_eq!(&done.stats, exec.stats());
+            (done.return_code, fnv1a(&done.response))
+        }
+        StepOutcome::NetCall { .. } => unreachable!("the loop above answers every RPC"),
+    });
+    let text = format!("{outcome:?} {:?} {mem_hash:016x}", exec.stats());
+    (outcome, text)
+}
+
+#[test]
+fn every_fuel_limit_stops_exactly() {
+    // Seven pixels: one pass of the 4x-unrolled loop, then the tail loop.
+    let small_image = random_bytes(&mut SmallRng::seed_from_u64(11), 7 * 4);
+    let mut got = Vec::new();
+    for (name, program, idx, payloads) in cases() {
+        let payload = if name.starts_with("image@") || name.starts_with("suite3@") {
+            small_image.clone()
+        } else {
+            payloads[0].clone()
+        };
+        let code = Arc::new(Code::decode(&program).expect("suite programs decode"));
+        let (full, _) = run_with_fuel(&program, &code, idx, &payload, u64::MAX);
+        assert!(full.is_ok(), "{name}: unbounded run completes: {full:?}");
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let n = (0u64..)
+            .find(|&k| {
+                let (outcome, text) = run_with_fuel(&program, &code, idx, &payload, k);
+                digest = (digest ^ fnv1a(text.as_bytes())).wrapping_mul(0x0100_0000_01b3);
+                if outcome.is_err() {
+                    assert_eq!(outcome, Err(ExecError::FuelExhausted), "{name} at fuel {k}");
+                }
+                outcome.is_ok()
+            })
+            .expect("a run with enough fuel completes");
+        got.push(format!("sweep {name}: n={n} digest={digest:016x}"));
+    }
+    let want: Vec<&str> = PINS.lines().filter(|l| l.starts_with("sweep ")).collect();
+    assert_eq!(want, got, "all sweep results:\n{}", got.join("\n"));
 }
