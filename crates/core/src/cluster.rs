@@ -386,19 +386,26 @@ impl Testbed {
     ) {
         use lnic_mlambda::compile::compile;
         let firmware = Arc::new(compile(program, opts).expect("program compiles"));
+        // Host workers share one copy of the program.
+        let host_program = match self.backend {
+            BackendKind::Nic => None,
+            BackendKind::BareMetal | BackendKind::Container => {
+                Some(Arc::new(firmware.program.clone()))
+            }
+        };
         for worker in &self.workers {
-            match self.backend {
-                BackendKind::Nic => {
+            match &host_program {
+                None => {
                     self.sim
                         .get_mut::<Nic>(worker.component)
                         .expect("worker is a NIC")
                         .install_now(Arc::clone(&firmware));
                 }
-                BackendKind::BareMetal | BackendKind::Container => {
+                Some(program) => {
                     self.sim.post(
                         worker.component,
                         SimDuration::ZERO,
-                        lnic_host::DeployProgram::unfenced(Arc::new(firmware.program.clone())),
+                        lnic_host::DeployProgram::unfenced(Arc::clone(program)),
                     );
                 }
             }
@@ -845,25 +852,6 @@ impl Testbed {
     /// The heartbeat ticks forever, so drive the simulation with
     /// `run_for`/`run_until` rather than `run` once failover is enabled.
     pub fn enable_failover(&mut self, cfg: FailoverConfig) -> ComponentId {
-        self.install_failover(cfg, None)
-    }
-
-    /// Like [`Testbed::enable_failover`], but delegates re-placement
-    /// decisions after deaths and recoveries to `planner` (a placement
-    /// control plane) via [`crate::failover::ReplanRequest`].
-    pub fn enable_failover_with_planner(
-        &mut self,
-        cfg: FailoverConfig,
-        planner: ComponentId,
-    ) -> ComponentId {
-        self.install_failover(cfg, Some(planner))
-    }
-
-    fn install_failover(
-        &mut self,
-        cfg: FailoverConfig,
-        planner: Option<ComponentId>,
-    ) -> ComponentId {
         let worker_table = self
             .workers
             .iter()
@@ -872,9 +860,6 @@ impl Testbed {
         // A gateway tier enabled first: epoch/fencing commands broadcast
         // to every shard, not just the primary.
         let mut controller = FailoverController::new(cfg, self.gateways.clone(), worker_table);
-        if let Some(planner) = planner {
-            controller = controller.with_planner(planner);
-        }
         for &(workload_id, worker_index) in &self.placements {
             controller.track_placement(workload_id, worker_index);
         }
@@ -1056,13 +1041,6 @@ impl Testbed {
         self.tier_router = Some(router);
         self.tier_controller = Some(controller);
         (router, controller)
-    }
-
-    /// The `(workload, worker index)` placements registered at setup
-    /// (by `preload*` / [`Testbed::place`]) — the initial state a
-    /// placement control plane starts planning from.
-    pub fn setup_placements(&self) -> &[(u32, usize)] {
-        &self.placements
     }
 
     /// Signals end-of-run to every attached trace sink: the

@@ -106,11 +106,6 @@ impl FnBuilder {
         self.load_hdr(dst, HeaderField::PayloadLen)
     }
 
-    /// `r[dst] = match_data[idx]`
-    pub fn load_match_data(self, dst: Reg, idx: u8) -> Self {
-        self.instr(Instr::LoadMatchData { dst, idx })
-    }
-
     /// Scalar object load.
     pub fn load(self, dst: Reg, obj: ObjId, addr: Reg, width: Width) -> Self {
         self.instr(Instr::Load {

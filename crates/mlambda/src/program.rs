@@ -297,11 +297,6 @@ impl Program {
         }
     }
 
-    /// Finds a lambda index by workload id.
-    pub fn lambda_by_id(&self, id: WorkloadId) -> Option<usize> {
-        self.lambdas.iter().position(|l| l.id == id)
-    }
-
     /// Validates structural well-formedness; see [`ValidateError`].
     ///
     /// # Errors

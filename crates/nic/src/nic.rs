@@ -423,12 +423,6 @@ impl Nic {
         self.resident.insert(workload_id, component);
     }
 
-    /// Overrides the dispatch policy (ablation).
-    pub fn with_dispatch_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.dispatch_policy = policy;
-        self
-    }
-
     /// Changes the dispatch policy on a constructed NIC (ablation).
     pub fn set_dispatch_policy(&mut self, policy: DispatchPolicy) {
         self.dispatch_policy = policy;
@@ -534,11 +528,6 @@ impl Nic {
         self.threads.len() - self.idle.len()
     }
 
-    /// Requests waiting for a thread.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether the NIC is currently crashed.
     pub fn is_crashed(&self) -> bool {
         self.crashed
@@ -567,11 +556,12 @@ impl Nic {
         ctx.send(self.uplink, SimDuration::ZERO, packet);
     }
 
-    /// Decodes and installs `firmware`, returning whether it was taken.
-    /// An image whose program does not decode is refused and counted;
-    /// the running image, if any, keeps serving.
+    /// Installs `firmware` with its shared decode ([`Firmware::code`]),
+    /// returning whether it was taken. An image whose program does not
+    /// decode is refused and counted; the running image, if any, keeps
+    /// serving.
     fn install(&mut self, firmware: Arc<Firmware>) -> bool {
-        let Ok(code) = Code::decode(&firmware.program) else {
+        let Ok(code) = firmware.code() else {
             self.counters.rejected_programs += 1;
             return false;
         };
@@ -581,7 +571,7 @@ impl Nic {
             .iter()
             .map(ObjectMemory::for_lambda)
             .collect();
-        self.code = Some(Arc::new(code));
+        self.code = Some(code);
         self.last_firmware = Some(Arc::clone(&firmware));
         self.firmware = Some(firmware);
         true
