@@ -42,14 +42,15 @@ pub struct RgbaImage {
 impl RgbaImage {
     /// A deterministic gradient-with-checkerboard image.
     pub fn synthetic(width: usize, height: usize) -> Self {
+        // Red depends only on the column and green only on the row, so
+        // the divisions run once per column and once per row.
+        let red: Vec<u8> = (0..width).map(|x| (x * 255 / width) as u8).collect();
         let mut data = Vec::with_capacity(width * height * 4);
         for y in 0..height {
-            for x in 0..width {
+            let green = (y * 255 / height) as u8;
+            for (x, &r) in red.iter().enumerate() {
                 let checker = if (x / 8 + y / 8) % 2 == 0 { 0u8 } else { 64 };
-                data.push((x * 255 / width.max(1)) as u8);
-                data.push((y * 255 / height.max(1)) as u8);
-                data.push(checker);
-                data.push(0xFF);
+                data.extend_from_slice(&[r, green, checker, 0xFF]);
             }
         }
         RgbaImage {

@@ -36,10 +36,9 @@ impl WebContent {
             .map(|i| {
                 let mut page =
                     format!("<html><head><title>page {i}</title></head><body>").into_bytes();
+                let para = format!("<p>lambda-nic serves page {i} fast</p>");
                 while page.len() < page_size.saturating_sub(14) {
-                    page.extend_from_slice(
-                        format!("<p>lambda-nic serves page {i} fast</p>").as_bytes(),
-                    );
+                    page.extend_from_slice(para.as_bytes());
                 }
                 page.extend_from_slice(b"</body></html>");
                 page
