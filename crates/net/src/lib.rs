@@ -3,8 +3,8 @@
 //! Models the paper's testbed fabric (§6.1.2): Ethernet/IPv4/UDP packets
 //! with a byte-accurate λ-NIC lambda header, 10 Gbps point-to-point
 //! [`link::Link`]s, a store-and-forward [`switch::Switch`], the
-//! weakly-consistent sender-tracked RPC transport of §4.2-D3
-//! ([`transport::RpcTracker`]), and fragmentation/reassembly with
+//! retry policy of the weakly-consistent sender-tracked RPC transport of
+//! §4.2-D3 ([`transport::RetryPolicy`]), and fragmentation/reassembly with
 //! reorder-cost accounting for multi-packet RDMA messages ([`frag`]).
 //!
 //! ## Example: a frame across a switch

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use lnic::gateway::Gateway;
 use lnic::prelude::*;
 use lnic_sim::prelude::*;
 
@@ -67,6 +68,20 @@ pub fn spawn_closed_loop(
     ));
     bed.sim.post(driver, start_after, StartDriver);
     driver
+}
+
+/// Asserts that every gateway of `bed` has retired every request it
+/// admitted: once a drive drains, no gateway may hold an in-flight
+/// record or a tenant quota slot.
+pub fn assert_gateways_retired(bed: &Testbed) {
+    for (shard, &gw) in bed.gateways.iter().enumerate() {
+        let g = bed.sim.get::<Gateway>(gw).expect("a gateway");
+        assert_eq!(
+            (g.in_flight(), g.tenant_slots_held()),
+            (0, 0),
+            "gateway {shard} holds (records, tenant slots) after the drive drained"
+        );
+    }
 }
 
 /// Golden-hash file IO shared by `trace_golden`, `kv_replication`,

@@ -20,9 +20,14 @@ use std::sync::Arc;
 use lnic::gateway::Gateway;
 use lnic::gwtier::{DrainShard, PlanetDriver, ShardMap, ShardRouter, TierConfig, TierController};
 use lnic::prelude::*;
-use lnic_integration::{golden_checks_enabled, goldens, page_jobs, resilient_nic_config};
+use lnic_integration::{
+    assert_gateways_retired, golden_checks_enabled, goldens, page_jobs, resilient_nic_config,
+    spawn_closed_loop,
+};
+use lnic_raft::RaftConfig;
 use lnic_sim::fault::FaultPlan;
 use lnic_sim::prelude::*;
+use lnic_workloads::kv::{KvMix, REPKV_WORKLOAD_ID};
 use lnic_workloads::planet::{FlashCrowd, PlanetModel};
 use lnic_workloads::three_web_servers;
 
@@ -53,6 +58,9 @@ enum Scenario {
     /// Planetary open-loop traffic (diurnal regions, a regional flash
     /// crowd, heavy-tailed clients) with a shard crash mid-crowd.
     FlashCrowd,
+    /// The `ShardDrain` fault, then a crash of the successor shard that
+    /// adopted the drained requests.
+    CrashAndDrain,
 }
 
 impl Scenario {
@@ -63,6 +71,7 @@ impl Scenario {
             Scenario::ShardPartition => "tier-shard-partition-seed42",
             Scenario::ShardDrain => "tier-shard-drain-seed42",
             Scenario::FlashCrowd => "tier-flash-crowd-seed42",
+            Scenario::CrashAndDrain => "tier-crash-and-drain-seed42",
         }
     }
 }
@@ -121,11 +130,11 @@ fn tier_run(seed: u64, scenario: Scenario) -> RunResult {
         bed.sim.post(d, SimDuration::from_millis(50), StartDriver);
         d
     } else {
-        // Zero think for the drain cell: every client then always has
+        // Zero think for the drain cells: every client then always has
         // a request in flight, so the drain provably catches live state
         // to hand off. The other cells think for [`THINK`] so traffic
         // spans the whole crash/restart window.
-        let think = if scenario == Scenario::ShardDrain {
+        let think = if matches!(scenario, Scenario::ShardDrain | Scenario::CrashAndDrain) {
             SimDuration::ZERO
         } else {
             THINK
@@ -159,7 +168,7 @@ fn tier_run(seed: u64, scenario: Scenario) -> RunResult {
                 SimDuration::from_millis(600),
             ));
         }
-        Scenario::ShardDrain => {
+        Scenario::ShardDrain | Scenario::CrashAndDrain => {
             bed.sim.post(
                 controller,
                 SimDuration::from_millis(200),
@@ -168,6 +177,18 @@ fn tier_run(seed: u64, scenario: Scenario) -> RunResult {
                     rejoin_after: true,
                 },
             );
+            if scenario == Scenario::CrashAndDrain {
+                // Crash the successor that adopted the drained work.
+                let members: Vec<u32> = (0..=EXTRA_SHARDS as u32).collect();
+                let heir = ShardMap::new(1, &members, TierConfig::default().vnodes)
+                    .successor(target as u32)
+                    .expect("a successor") as usize;
+                bed.inject_faults(
+                    &FaultPlan::new()
+                        .gateway_crash(heir, at + SimDuration::from_millis(5))
+                        .gateway_restart(heir, SimTime::ZERO + SimDuration::from_millis(1200)),
+                );
+            }
         }
         Scenario::FlashCrowd => {
             // Crash the target shard in the middle of the flash crowd,
@@ -210,6 +231,7 @@ fn tier_run(seed: u64, scenario: Scenario) -> RunResult {
         0,
         "no client request may be left pending at the end of the run"
     );
+    assert_gateways_retired(&bed);
     let rc = r.counters();
     let tc = bed
         .sim
@@ -402,6 +424,61 @@ fn hedged_tier_suppresses_reorder_and_duplicate_storms() {
         "shard-level suppression means the router never sees a second completion"
     );
     assert_eq!(rc.routed, rc.delivered, "exactly-once delivery holds");
+}
+
+#[test]
+fn every_gateway_retires_every_request_once_a_drive_drains() {
+    // One gateway serving three web lambdas.
+    let mut bed = build_testbed(resilient_nic_config(42, 3));
+    let program = Arc::new(three_web_servers());
+    bed.preload(&program);
+    let driver = spawn_closed_loop(
+        &mut bed,
+        page_jobs(&program),
+        THREADS,
+        THINK,
+        Some(100),
+        SimDuration::from_millis(1),
+    );
+    bed.sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+    assert!(bed.sim.get::<ClosedLoopDriver>(driver).unwrap().is_done());
+    assert_gateways_retired(&bed);
+
+    // A replicated KV service: leader routing, redirects and the
+    // per-request KV op.
+    let mut bed = build_testbed(resilient_nic_config(42, 3));
+    bed.enable_replicated_kv(RaftConfig {
+        election_timeout_min: SimDuration::from_millis(20),
+        election_timeout_max: SimDuration::from_millis(40),
+        heartbeat_interval: SimDuration::from_millis(5),
+        read_lease: Some(SimDuration::from_millis(15)),
+    });
+    let jobs = vec![JobSpec {
+        workload_id: REPKV_WORKLOAD_ID,
+        payload: PayloadSpec::RepKv(KvMix::new(8, 500, 990)),
+    }];
+    let driver = spawn_closed_loop(
+        &mut bed,
+        jobs,
+        3,
+        SimDuration::from_micros(200),
+        Some(100),
+        SimDuration::from_millis(100),
+    );
+    bed.sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+    assert!(bed.sim.get::<ClosedLoopDriver>(driver).unwrap().is_done());
+    assert_gateways_retired(&bed);
+
+    // The tier, with a drain and then a crash of the adopting shard in
+    // one run: `tier_run` asserts the retirement of every shard.
+    let r = tier_run(42, Scenario::CrashAndDrain);
+    assert_eq!(r.driver_failed, 0);
+    assert!(r.handed_off > 0, "the drain hands off live requests");
+    assert!(
+        r.rerouted > 0,
+        "the crash orphans requests the router re-routes"
+    );
+    assert_eq!(r.routed, r.delivered, "exactly-once delivery holds");
 }
 
 #[test]

@@ -20,7 +20,9 @@ use std::collections::HashMap;
 use lnic::failover::FailoverConfig;
 use lnic::prelude::*;
 use lnic::repkv::RepKvReplica;
-use lnic_integration::{golden_checks_enabled, goldens, resilient_nic_config};
+use lnic_integration::{
+    assert_gateways_retired, golden_checks_enabled, goldens, resilient_nic_config,
+};
 use lnic_raft::{RaftConfig, Role};
 use lnic_sim::prelude::*;
 use lnic_sim::trace::{TraceRecord, TraceSink};
@@ -169,6 +171,7 @@ fn repkv_run(seed: u64, scenario: Scenario) -> RunResult {
         bed.sim.get::<ClosedLoopDriver>(driver).unwrap().is_done(),
         "all budgeted requests must terminate"
     );
+    assert_gateways_retired(&bed);
     bed.finish_tracing();
 
     // Durability: every acknowledged write is in the surviving leader's
