@@ -131,23 +131,6 @@ impl FailoverConfig {
 #[derive(Debug)]
 pub struct StartFailover;
 
-/// A re-placement request routed to a placement planner instead of being
-/// applied directly (see [`FailoverController::with_planner`]): the
-/// controller has withdrawn a dead worker's endpoints (or seen a worker
-/// recover) and asks the planner to decide where the workload should
-/// live now.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplanRequest {
-    /// The workload needing a (re-)placement decision.
-    pub workload_id: u32,
-    /// The worker the event originated on (the dead worker, or the
-    /// recovered one).
-    pub from_worker: usize,
-    /// `false`: the worker died and the workload is orphaned. `true`:
-    /// the worker recovered and its original workloads may come home.
-    pub recovered: bool,
-}
-
 /// Self-timer: a quarantined worker's probation is over.
 #[derive(Debug)]
 struct ProbationEnd {
@@ -257,9 +240,6 @@ pub struct FailoverController {
     origin: FastMap<u32, usize>,
     counters: FailoverCounters,
     events: Vec<FailoverEvent>,
-    /// When set, death/recovery re-placement decisions are delegated to
-    /// this planner via [`ReplanRequest`] instead of applied directly.
-    planner: Option<ComponentId>,
     /// Last stable snapshot (survives crashes — modeled stable storage).
     stable: Option<Snapshot>,
     /// Workload → service id routes to broadcast ([`UpdateService`])
@@ -307,7 +287,6 @@ impl FailoverController {
             origin: FastMap::default(),
             counters: FailoverCounters::default(),
             events: Vec::new(),
-            planner: None,
             stable: None,
             service_routes: FastMap::default(),
         }
@@ -327,16 +306,6 @@ impl FailoverController {
         for &gw in &self.gateways {
             ctx.send(gw, SimDuration::ZERO, msg());
         }
-    }
-
-    /// Delegates post-crash and post-recovery re-placement to a
-    /// placement planner: instead of re-homing workloads itself, the
-    /// controller sends the planner one [`ReplanRequest`] per affected
-    /// workload (endpoint withdrawal for dead workers still happens
-    /// immediately — a blackhole must never stay routable).
-    pub fn with_planner(mut self, planner: ComponentId) -> Self {
-        self.planner = Some(planner);
-        self
     }
 
     /// Records that `workload_id` is served by worker `worker` (its home
@@ -390,11 +359,6 @@ impl FailoverController {
     /// Whether worker `worker` is currently considered alive.
     pub fn is_alive(&self, worker: usize) -> bool {
         self.workers[worker].alive
-    }
-
-    /// Whether worker `worker` is currently quarantined as fail-slow.
-    pub fn is_quarantined(&self, worker: usize) -> bool {
-        self.workers[worker].quarantined
     }
 
     /// The current primary home of a workload, if tracked.
@@ -566,8 +530,7 @@ impl FailoverController {
 
     /// Re-places the workloads homed on `from` onto healthy survivors,
     /// spreading round-robin from the next index so one eviction does
-    /// not pile every orphan onto a single node. Delegates to the
-    /// planner instead when one is installed.
+    /// not pile every orphan onto a single node.
     fn replace_orphans(&mut self, ctx: &mut Ctx<'_>, from: usize) {
         let n = self.workers.len();
         let orphans: Vec<u32> = self
@@ -578,23 +541,6 @@ impl FailoverController {
             .collect();
         let mut sorted = orphans;
         sorted.sort_unstable();
-        if let Some(planner) = self.planner {
-            // The planner owns re-placement: hand it one request per
-            // orphan. `home` is left pointing at the evicted worker so
-            // the recovery handback below still knows the origin.
-            for wid in sorted {
-                ctx.send(
-                    planner,
-                    SimDuration::ZERO,
-                    ReplanRequest {
-                        workload_id: wid,
-                        from_worker: from,
-                        recovered: false,
-                    },
-                );
-            }
-            return;
-        }
         for (k, wid) in sorted.into_iter().enumerate() {
             let Some(target) = (1..n)
                 .map(|step| (from + k + step) % n)
@@ -641,8 +587,7 @@ impl FailoverController {
     }
 
     /// Hands the workloads that originally lived on `idx` back to it,
-    /// re-registering its endpoint with the gateway (or asking the
-    /// planner to decide, when one is installed).
+    /// re-registering its endpoint with the gateway.
     fn hand_back(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let endpoint = self.workers[idx].endpoint;
         let mut homecoming: Vec<u32> = self
@@ -652,20 +597,6 @@ impl FailoverController {
             .map(|(&wid, _)| wid)
             .collect();
         homecoming.sort_unstable();
-        if let Some(planner) = self.planner {
-            for wid in homecoming {
-                ctx.send(
-                    planner,
-                    SimDuration::ZERO,
-                    ReplanRequest {
-                        workload_id: wid,
-                        from_worker: idx,
-                        recovered: true,
-                    },
-                );
-            }
-            return;
-        }
         for wid in homecoming {
             let from = self.home.insert(wid, idx).unwrap_or(idx);
             if from != idx {

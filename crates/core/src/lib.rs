@@ -72,7 +72,7 @@ pub use driver::{
 };
 pub use failover::{
     FailoverConfig, FailoverController, FailoverCounters, FailoverEvent, FailoverEventKind,
-    ReplanRequest, StartFailover,
+    StartFailover,
 };
 pub use gateway::{
     DrainGateway, EndpointLatencyReport, Gateway, GatewayCounters, GatewayParams, HedgeParams,

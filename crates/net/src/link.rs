@@ -133,11 +133,6 @@ impl Link {
         self.corrupt_detected.get()
     }
 
-    /// Whether the link is inside a flap window at `now`.
-    pub fn is_down(&self, now: SimTime) -> bool {
-        now < self.down_until
-    }
-
     /// Time to clock `bytes` onto the wire at this link's bandwidth.
     pub fn serialization_delay(&self, bytes: usize) -> SimDuration {
         self.params.serialization_delay(bytes)

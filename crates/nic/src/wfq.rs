@@ -255,11 +255,6 @@ impl<T> HierarchicalWfq<T> {
         self.len == 0
     }
 
-    /// Queued items for one tenant.
-    pub fn len_for_tenant(&self, tenant: u32) -> usize {
-        self.slot(tenant).map_or(0, |s| s.queue.len())
-    }
-
     /// Queued items for one lambda of one tenant.
     pub fn len_for(&self, tenant: u32, lambda: usize) -> usize {
         self.slot(tenant).map_or(0, |s| s.queue.len_for(lambda))

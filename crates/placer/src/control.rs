@@ -26,17 +26,17 @@
 //! Routing never changes during a NIC↔host migration: hybrid workers
 //! punt firmware-miss packets across PCIe to the host behind them, so
 //! a migration is purely a firmware recomposition. The placer is also
-//! the arbiter for the autoscaler's [`PlacementProposal`]s and the
-//! failover controller's [`ReplanRequest`]s, which *are* routing
-//! changes (gateway placements), applied here so one component owns
-//! every placement decision.
+//! the arbiter for the autoscaler's [`PlacementProposal`]s, which *are*
+//! routing changes (gateway placements), applied here so one component
+//! owns every placement decision. Failover re-placement stays with the
+//! failover controller, which re-homes a dead worker's workloads itself.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lnic::cluster::Testbed;
 use lnic::gateway::{AddPlacement, QueryStats, RemovePlacement, StatsReport};
-use lnic::{PlacementProposal, ReplanRequest, ScaleDirection};
+use lnic::{PlacementProposal, ScaleDirection};
 use lnic_host::DeployProgram;
 use lnic_mlambda::compile::{compile, CompileOptions};
 use lnic_mlambda::program::Program;
@@ -147,23 +147,11 @@ pub enum PlacerEvent {
         /// Out or in.
         direction: ScaleDirection,
     },
-    /// A failover replan was applied as a routing change.
-    Replan {
-        /// When it was applied.
-        at: SimTime,
-        /// The workload re-routed.
-        workload_id: u32,
-        /// The worker routed to.
-        worker: usize,
-        /// Whether this was a recovery homecoming.
-        recovered: bool,
-    },
 }
 
 struct PlacerWorker {
     nic: ComponentId,
     endpoint: lnic::gateway::WorkerEndpoint,
-    alive: bool,
 }
 
 struct PendingMigration {
@@ -219,11 +207,7 @@ impl Placer {
             gateway,
             workers: workers
                 .into_iter()
-                .map(|(nic, endpoint)| PlacerWorker {
-                    nic,
-                    endpoint,
-                    alive: true,
-                })
+                .map(|(nic, endpoint)| PlacerWorker { nic, endpoint })
                 .collect(),
             base,
             statics,
@@ -562,36 +546,6 @@ impl Placer {
             direction: p.direction,
         });
     }
-
-    fn on_replan(&mut self, ctx: &mut Ctx<'_>, r: ReplanRequest) {
-        let n = self.workers.len();
-        let worker = if r.recovered {
-            self.workers[r.from_worker].alive = true;
-            r.from_worker
-        } else {
-            self.workers[r.from_worker].alive = false;
-            // Next alive worker after the dead one (the failover
-            // controller already withdrew the dead endpoints).
-            (1..n)
-                .map(|k| (r.from_worker + k) % n)
-                .find(|&i| self.workers[i].alive)
-                .unwrap_or(r.from_worker)
-        };
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            AddPlacement {
-                workload_id: r.workload_id,
-                endpoint: self.workers[worker].endpoint,
-            },
-        );
-        self.events.push(PlacerEvent::Replan {
-            at: ctx.now(),
-            workload_id: r.workload_id,
-            worker,
-            recovered: r.recovered,
-        });
-    }
 }
 
 impl Component for Placer {
@@ -620,12 +574,8 @@ impl Component for Placer {
             Ok(f) => return self.on_finish(ctx, f.epoch),
             Err(other) => other,
         };
-        let msg = match msg.downcast::<PlacementProposal>() {
-            Ok(p) => return self.on_proposal(ctx, *p),
-            Err(other) => other,
-        };
-        match msg.downcast::<ReplanRequest>() {
-            Ok(r) => self.on_replan(ctx, *r),
+        match msg.downcast::<PlacementProposal>() {
+            Ok(p) => self.on_proposal(ctx, *p),
             Err(other) => panic!("placer received unknown message {other:?}"),
         }
     }

@@ -18,8 +18,7 @@
 //! - [`control`]: the [`control::Placer`] simulation component that
 //!   ties it together — profiling ticks, live migrations that drain
 //!   in-flight requests before the firmware swap, and integration with
-//!   the autoscaler ([`lnic::PlacementProposal`]) and failover
-//!   controller ([`lnic::ReplanRequest`]).
+//!   the autoscaler ([`lnic::PlacementProposal`]).
 //!
 //! Every placement decision is emitted into the structured trace stream
 //! (`place` / `unplace` / `migrate_start` / `migrate_done`), where

@@ -283,11 +283,6 @@ impl Simulation {
         }
     }
 
-    /// Total structured trace records emitted so far.
-    pub fn trace_records(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, Tracer::emitted)
-    }
-
     /// Returns the current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -178,16 +178,6 @@ impl Summary {
             p999_ns: pct(0.999),
         }
     }
-
-    /// Mean as fractional milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ns / 1e6
-    }
-
-    /// Mean as fractional microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.mean_ns / 1e3
-    }
 }
 
 impl fmt::Display for Summary {

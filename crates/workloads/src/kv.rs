@@ -169,15 +169,6 @@ pub fn reference_set_request(user_id: u32, value: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reference: what the GET client emits for a server response.
-pub fn reference_get_response(server_response: &[u8]) -> Option<Vec<u8>> {
-    let resp = lnic_kv::protocol::Response::decode(server_response).ok()?;
-    match resp {
-        lnic_kv::protocol::Response::Value { value, .. } => Some(value.to_vec()),
-        _ => None,
-    }
-}
-
 /// Builds a GET request payload (the gateway-visible request format).
 pub fn get_request_payload(user_id: u32) -> Bytes {
     Bytes::copy_from_slice(&user_id.to_be_bytes())
