@@ -62,7 +62,16 @@ fn run(backend: BackendKind) -> Measured {
     }
     bed.sim.run();
     finish_trace(&mut bed, &label);
-    let window = bed.sim.now() - start;
+    // The busy window ends at the last completion, not at `sim.now()`:
+    // after it the queue only drains timers that change nothing, and
+    // they would dilute the CPU share by up to one retransmission
+    // timeout.
+    let end = bed
+        .sim
+        .get::<ClosedLoopDriver>(driver)
+        .and_then(|d| d.completed().last())
+        .map_or(start, |c| c.at);
+    let window = end - start;
 
     match backend {
         BackendKind::Nic => {
