@@ -6,9 +6,13 @@
 //!
 //! The queue is a two-tier [`EventQueue`]: a small binary heap for events
 //! due in the current ~1 ms time slice and unsorted per-slice buckets for
-//! everything later (mostly retransmission, election and lease timers that
-//! will fire as no-ops), so each event sifts only through its near
-//! neighbours. Pop order is exactly `(time, sequence)` either way.
+//! everything later (mostly retransmission, election and lease timers), so
+//! each event sifts only through its near neighbours. Pop order is exactly
+//! `(time, sequence)` either way. A timer armed with [`Ctx::send_timer`]
+//! can be withdrawn with [`Ctx::cancel`] once it is settled; a cancelled
+//! timer still in the far buckets is never delivered, and one already in
+//! the near heap is delivered as usual, so its receiver must still
+//! recognise it as stale.
 //!
 //! # Determinism
 //!
@@ -112,6 +116,19 @@ impl Timed for Scheduled {
     fn at(&self) -> SimTime {
         self.at
     }
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// Names a timer armed with [`Ctx::send_timer`], for [`Ctx::cancel`].
+///
+/// Neither `Copy` nor `Clone`: cancelling consumes it, so a timer cannot
+/// be cancelled twice.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TimerId {
+    at: SimTime,
+    seq: u64,
 }
 
 /// The execution context handed to a component while it handles a message.
@@ -145,6 +162,7 @@ impl Timed for Scheduled {
 /// ```
 pub struct Ctx<'a> {
     now: SimTime,
+    event_seq: u64,
     self_id: ComponentId,
     queue: &'a mut EventQueue<Scheduled>,
     seq: &'a mut u64,
@@ -162,6 +180,21 @@ impl Ctx<'_> {
     /// Returns the id of the component currently handling the message.
     pub fn self_id(&self) -> ComponentId {
         self.self_id
+    }
+
+    /// Returns the sequence number of the event being handled. Events at
+    /// one instant are delivered in sequence order.
+    pub fn event_seq(&self) -> u64 {
+        self.event_seq
+    }
+
+    /// Returns the sequence number the next send will take. A component
+    /// that keeps a pending instant to itself instead of scheduling it
+    /// records this number, and treats the instant as passed once the
+    /// clock is beyond it, or at it with [`Self::event_seq`] at least
+    /// this number: exactly when the event would have been delivered.
+    pub fn next_seq(&self) -> u64 {
+        *self.seq
     }
 
     /// Schedules `msg` for delivery to `dst` after `delay`.
@@ -185,6 +218,27 @@ impl Ctx<'_> {
     /// Schedules `msg` back to the current component after `delay` (a timer).
     pub fn send_self<M: Message>(&mut self, delay: SimDuration, msg: M) {
         self.send(self.self_id, delay, msg);
+    }
+
+    /// Schedules `msg` back to the current component after `delay`, like
+    /// [`Self::send_self`], and returns a [`TimerId`] that can cancel it.
+    pub fn send_timer<M: Message>(&mut self, delay: SimDuration, msg: M) -> TimerId {
+        let id = TimerId {
+            at: self.now + delay,
+            seq: *self.seq,
+        };
+        self.send_self(delay, msg);
+        id
+    }
+
+    /// Withdraws a timer armed with [`Self::send_timer`], if the queue
+    /// still can, and reports whether it did. A withdrawn timer is never
+    /// delivered and not counted in [`Simulation::events_processed`]. A
+    /// timer that is due within the queue's current time slice, or
+    /// already delivered, is not withdrawn: its receiver must recognise
+    /// it as stale, exactly as without the cancel.
+    pub fn cancel(&mut self, timer: TimerId) -> bool {
+        self.queue.cancel(timer.at, timer.seq)
     }
 
     /// Returns the simulation's deterministic random number generator.
@@ -293,7 +347,8 @@ impl Simulation {
         self.processed
     }
 
-    /// Returns the number of events still pending delivery.
+    /// Returns the number of events still pending delivery; cancelled
+    /// timers are not counted.
     pub fn events_pending(&self) -> usize {
         self.queue.len()
     }
@@ -355,6 +410,7 @@ impl Simulation {
         {
             let mut ctx = Ctx {
                 now: self.now,
+                event_seq: ev.seq,
                 self_id: ev.dst,
                 queue: &mut self.queue,
                 seq: &mut self.seq,
@@ -575,6 +631,68 @@ mod tests {
         }
         assert!(sim.get::<Relay>(a).is_some());
         assert!(sim.get::<Other>(a).is_none());
+    }
+
+    #[test]
+    fn a_cancelled_far_timer_is_never_delivered_or_counted() {
+        /// Arms a far timer and a near one on `Ping(0)`, then cancels
+        /// both on `Ping(1)` a microsecond later.
+        struct Arming {
+            far: Option<TimerId>,
+            near: Option<TimerId>,
+            cancelled: Vec<bool>,
+            seen: Vec<(SimTime, u32)>,
+        }
+        impl Component for Arming {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+                let Ping(n) = *msg.downcast::<Ping>().unwrap();
+                self.seen.push((ctx.now(), n));
+                match n {
+                    0 => {
+                        self.far = Some(ctx.send_timer(SimDuration::from_millis(200), Ping(7)));
+                        self.near = Some(ctx.send_timer(SimDuration::from_micros(5), Ping(8)));
+                        ctx.send_self(SimDuration::from_micros(1), Ping(1));
+                    }
+                    1 => {
+                        for timer in [self.far.take(), self.near.take()] {
+                            let cancelled = ctx.cancel(timer.unwrap());
+                            self.cancelled.push(cancelled);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let a = sim.add(Arming {
+            far: None,
+            near: None,
+            cancelled: Vec::new(),
+            seen: Vec::new(),
+        });
+        sim.post(a, SimDuration::ZERO, Ping(0));
+        // Keeps the near heap occupied, so the 200 ms timer is parked in
+        // a far bucket instead of opening a slice of its own.
+        sim.post(a, SimDuration::from_micros(10), Ping(9));
+        sim.run_for(SimDuration::from_micros(2));
+        assert_eq!(sim.events_pending(), 2, "the far timer is withdrawn");
+        sim.run();
+        let arming = sim.get::<Arming>(a).unwrap();
+        // The far timer is withdrawn; the near one, in the slice being
+        // delivered, is refused and still fires.
+        assert_eq!(arming.cancelled, vec![true, false]);
+        assert_eq!(
+            arming.seen,
+            vec![
+                (SimTime::from_nanos(0), 0),
+                (SimTime::from_nanos(1_000), 1),
+                (SimTime::from_nanos(5_000), 8),
+                (SimTime::from_nanos(10_000), 9),
+            ]
+        );
+        assert_eq!(sim.events_processed(), 4);
+        assert_eq!(sim.now(), SimTime::from_nanos(10_000));
+        assert_eq!(sim.events_pending(), 0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod time;
 pub mod trace;
 
 pub use check::InvariantChecker;
-pub use engine::{Component, ComponentId, Ctx, Simulation};
+pub use engine::{Component, ComponentId, Ctx, Simulation, TimerId};
 pub use fault::{FaultEvent, FaultPlan, TimedFault};
 pub use message::{AnyMessage, Message};
 pub use metrics::{Counter, Ecdf, LogHistogram, Series, Summary};
@@ -69,7 +69,7 @@ pub use trace::{HashSink, JsonlSink, RingSink, TraceEvent, TraceRecord, TraceSin
 /// Convenience re-exports for component authors.
 pub mod prelude {
     pub use crate::check::InvariantChecker;
-    pub use crate::engine::{Component, ComponentId, Ctx, Simulation};
+    pub use crate::engine::{Component, ComponentId, Ctx, Simulation, TimerId};
     pub use crate::fault::{FaultEvent, FaultPlan, TimedFault};
     pub use crate::message::{AnyMessage, Message};
     pub use crate::metrics::{Counter, Ecdf, LogHistogram, Series, Summary};

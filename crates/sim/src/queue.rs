@@ -3,8 +3,9 @@
 //! Most pending events in a busy simulation are timers far in the future:
 //! every request arms a retransmission timer tens to hundreds of
 //! milliseconds ahead, and raft elections and lease beats arm their own.
-//! Nearly all of them fire as no-ops. In a single binary heap every event
-//! pays a sift through all of them, so [`EventQueue`] keeps them apart:
+//! Most of them are settled before they are due, and their owners cancel
+//! them. In a single binary heap every event pays a sift through all of
+//! them, so [`EventQueue`] keeps them apart:
 //!
 //! * a small *near* binary heap holds every event with `at < horizon`;
 //! * *far* events (`at >= horizon`) wait unsorted in per-time-slice
@@ -16,6 +17,11 @@
 //! every far event is at or past it, so the near heap's minimum is always
 //! the global minimum and pop order is exactly the entries' [`Ord`] — for
 //! the engine, `(at, seq)` — whatever the push interleaving.
+//!
+//! [`EventQueue::cancel`] removes a far entry without searching for it: it
+//! records the entry's sequence number against its bucket, and the pour
+//! leaves the recorded entries behind. A near entry cannot be cancelled;
+//! it is delivered as if the cancel had not happened.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -31,6 +37,40 @@ const SLICE_SHIFT: u32 = 20;
 pub trait Timed: Ord {
     /// Delivery time of the entry.
     fn at(&self) -> SimTime;
+    /// A number no other entry of the same queue carries; it names the
+    /// entry to [`EventQueue::cancel`].
+    fn seq(&self) -> u64;
+}
+
+/// The entries of one far time slice, and the sequence numbers of those
+/// among them that were cancelled.
+#[derive(Debug)]
+struct Bucket<T> {
+    entries: Vec<T>,
+    cancelled: Vec<u64>,
+}
+
+impl<T> Default for Bucket<T> {
+    fn default() -> Self {
+        Bucket {
+            entries: Vec::new(),
+            cancelled: Vec::new(),
+        }
+    }
+}
+
+impl<T: Timed> Bucket<T> {
+    /// Drops the cancelled entries and clears the cancel list.
+    fn sweep(&mut self) {
+        if self.cancelled.is_empty() {
+            return;
+        }
+        self.cancelled.sort_unstable();
+        let cancelled = &self.cancelled;
+        self.entries
+            .retain(|e| cancelled.binary_search(&e.seq()).is_err());
+        self.cancelled.clear();
+    }
 }
 
 /// Exclusive end, in nanoseconds, of the slice holding `ns`.
@@ -53,12 +93,18 @@ fn slice_end(ns: u64) -> u64 {
 ///     fn at(&self) -> SimTime {
 ///         self.0
 ///     }
+///     fn seq(&self) -> u64 {
+///         self.1
+///     }
 /// }
 ///
 /// let mut q = EventQueue::new();
 /// q.push(Ev(SimTime::from_nanos(200_000_000), 0)); // a far timer
 /// q.push(Ev(SimTime::from_nanos(5), 1));
 /// q.push(Ev(SimTime::from_nanos(5), 2));
+/// q.push(Ev(SimTime::from_nanos(300_000_000), 3)); // settled early
+/// assert!(q.cancel(SimTime::from_nanos(300_000_000), 3));
+/// assert!(!q.cancel(SimTime::from_nanos(5), 2)); // near: refused
 /// assert_eq!(q.len(), 3);
 /// assert_eq!(q.peek_at(), Some(SimTime::from_nanos(5)));
 /// assert_eq!(q.pop(), Some(Ev(SimTime::from_nanos(5), 1)));
@@ -71,12 +117,13 @@ pub struct EventQueue<T> {
     near: BinaryHeap<Reverse<T>>,
     /// Exclusive bound of the near tier, in nanoseconds.
     horizon: u64,
-    far: BTreeMap<u64, Vec<T>>,
+    far: BTreeMap<u64, Bucket<T>>,
+    /// Far entries not cancelled.
     far_len: usize,
-    /// Emptied bucket vectors kept for reuse. Without them every slice
-    /// re-grows a fresh vector by doubling, and the churn costs several
-    /// MiB of peak RSS through allocator fragmentation.
-    spare: Vec<Vec<T>>,
+    /// Emptied buckets kept for reuse. Without them every slice re-grows
+    /// fresh vectors by doubling, and the churn costs several MiB of peak
+    /// RSS through allocator fragmentation.
+    spare: Vec<Bucket<T>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -97,7 +144,8 @@ impl<T: Timed> EventQueue<T> {
         Self::default()
     }
 
-    /// Number of pending entries across both tiers.
+    /// Number of pending entries across both tiers, cancelled ones
+    /// excluded.
     pub fn len(&self) -> usize {
         self.near.len() + self.far_len
     }
@@ -123,9 +171,32 @@ impl<T: Timed> EventQueue<T> {
             self.far
                 .entry(ns >> SLICE_SHIFT)
                 .or_insert_with(|| spare.pop().unwrap_or_default())
+                .entries
                 .push(entry);
             self.far_len += 1;
         }
+    }
+
+    /// Cancels the pending entry with sequence number `seq` due at `at`,
+    /// if it waits in the far tier, and reports whether it did. A near
+    /// entry (`at` below the horizon, which covers every instant already
+    /// delivered) is left in place and will be delivered.
+    ///
+    /// The pair must name an entry that is pending and not already
+    /// cancelled: the queue does not search for it, so a stray pair
+    /// would make [`Self::len`] undercount.
+    pub fn cancel(&mut self, at: SimTime, seq: u64) -> bool {
+        let ns = at.as_nanos();
+        if ns < self.horizon {
+            return false;
+        }
+        let Some(bucket) = self.far.get_mut(&(ns >> SLICE_SHIFT)) else {
+            return false;
+        };
+        debug_assert!(!bucket.cancelled.contains(&seq), "cancelled twice");
+        bucket.cancelled.push(seq);
+        self.far_len -= 1;
+        true
     }
 
     /// Delivery time of the earliest entry.
@@ -142,28 +213,36 @@ impl<T: Timed> EventQueue<T> {
         Some(entry)
     }
 
-    /// Pours the earliest far bucket into the (empty) near heap.
+    /// Pours the earliest far bucket with an entry left after its cancels
+    /// into the (empty) near heap.
     fn refill(&mut self) {
-        let Some((slice, mut bucket)) = self.far.pop_first() else {
-            return;
-        };
-        self.horizon = slice_end(slice << SLICE_SHIFT);
-        self.far_len -= bucket.len();
-        // Heapify in one O(n) pass inside the near heap's own buffer, and
-        // keep the bucket's buffer for a later slice.
-        let mut heap = std::mem::take(&mut self.near).into_vec();
-        heap.extend(bucket.drain(..).map(Reverse));
-        self.near = BinaryHeap::from(heap);
-        self.spare.push(bucket);
+        while let Some((slice, mut bucket)) = self.far.pop_first() {
+            self.horizon = slice_end(slice << SLICE_SHIFT);
+            bucket.sweep();
+            self.far_len -= bucket.entries.len();
+            // Heapify in one O(n) pass inside the near heap's own buffer,
+            // and keep the bucket's buffers for a later slice.
+            let mut heap = std::mem::take(&mut self.near).into_vec();
+            heap.extend(bucket.entries.drain(..).map(Reverse));
+            self.near = BinaryHeap::from(heap);
+            self.spare.push(bucket);
+            if !self.near.is_empty() {
+                return;
+            }
+        }
     }
 
-    /// Removes every entry, in no particular order.
+    /// Removes every entry, in no particular order. Cancelled entries are
+    /// not returned.
     pub fn drain(&mut self) -> impl Iterator<Item = T> {
         let near = std::mem::take(&mut self.near).into_vec();
         let far = std::mem::take(&mut self.far);
         self.far_len = 0;
         near.into_iter()
             .map(|Reverse(e)| e)
-            .chain(far.into_values().flatten())
+            .chain(far.into_values().flat_map(|mut bucket| {
+                bucket.sweep();
+                bucket.entries
+            }))
     }
 }

@@ -5,7 +5,10 @@
 //! on every pop, every peek and every length, so the near-heap/far-bucket
 //! split can never change the delivery order of a key that sorts by time
 //! first. The model's key carries two tie-breakers; the engine's is
-//! `(at, seq)`.
+//! `(at, seq)`. Cancels are mirrored too: a cancel the queue accepts
+//! removes the key from the reference, and one it refuses leaves the
+//! entry to be delivered, so an accepted cancel that still delivered, or
+//! a refused one that lost its entry, shows up as a diverging pop.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,6 +31,9 @@ struct Ev {
 impl Timed for Ev {
     fn at(&self) -> SimTime {
         self.at
+    }
+    fn seq(&self) -> u64 {
+        self.seq
     }
 }
 
@@ -71,6 +77,29 @@ impl Pair {
         assert_eq!(got, want, "pop order diverged from the reference heap");
         self.check_head();
         got.map(|(at, _, _)| at)
+    }
+
+    /// Cancels `k` in the queue, and in the reference when the queue
+    /// withdrew it. Returns whether it did.
+    fn cancel(&mut self, k: Key) -> bool {
+        let withdrawn = self.queue.cancel(SimTime::from_nanos(k.0), k.2);
+        if withdrawn {
+            let before = self.reference.len();
+            self.reference.retain(|Reverse(r)| *r != k);
+            assert_eq!(
+                self.reference.len() + 1,
+                before,
+                "cancelled a key not pending"
+            );
+        }
+        self.check_head();
+        withdrawn
+    }
+
+    /// A pending key picked at random.
+    fn pick(&self, rng: &mut SmallRng) -> Option<Key> {
+        let n = self.reference.len();
+        (n > 0).then(|| self.reference.iter().nth(rng.gen_range(0..n)).unwrap().0)
     }
 
     fn check_head(&self) {
@@ -197,13 +226,19 @@ fn drain_returns_every_entry_across_both_tiers() {
     let mut rng = SmallRng::seed_from_u64(42);
     let mut pair = Pair::new();
     let mut now = 0;
+    let mut withdrawn = 0;
     for _ in 0..2_000 {
         let at = draw_at(&mut rng, now);
         pair.push(at, rng.gen_range(0..2u32));
         if rng.gen_bool(0.2) {
             now = pair.pop().unwrap_or(now);
         }
+        if rng.gen_bool(0.1) {
+            let k = pair.pick(&mut rng).expect("just pushed");
+            withdrawn += usize::from(pair.cancel(k));
+        }
     }
+    assert!(withdrawn > 50, "drain must also skip cancelled entries");
     let before = pair.queue.len();
     assert!(before > 500, "scenario should leave both tiers populated");
     let mut drained: Vec<Key> = pair.queue.drain().map(|e| key(&e)).collect();
@@ -219,5 +254,97 @@ fn drain_returns_every_entry_across_both_tiers() {
         let at = draw_at(&mut rng, now);
         pair.push(at, 0);
     }
+    pair.drain_all();
+}
+
+#[test]
+fn random_cancels_match_the_reference() {
+    let (mut withdrawn, mut refused, mut passed) = (0, 0, 0);
+    for seed in 0..48u64 {
+        let mut rng = SmallRng::seed_from_u64(1_000 + seed);
+        let mut pair = Pair::new();
+        let mut now = 0u64;
+        let mut delivered: Option<Key> = None;
+        for _ in 0..3_000 {
+            let roll = rng.gen_range(0..20u32);
+            if roll < 10 || pair.reference.is_empty() {
+                let at = draw_at(&mut rng, now);
+                pair.push(at, rng.gen_range(0..4u32));
+            } else if roll < 15 {
+                delivered = pair.reference.peek().map(|Reverse(k)| *k);
+                if let Some(at) = pair.pop() {
+                    now = now.max(at);
+                }
+            } else if roll < 19 {
+                let k = pair.pick(&mut rng).expect("non-empty");
+                if pair.cancel(k) {
+                    withdrawn += 1;
+                } else {
+                    refused += 1;
+                }
+            } else if let Some(k) = delivered {
+                // A timer that already fired: its instant has passed.
+                assert!(!pair.cancel(k), "cancelled an entry already delivered");
+                passed += 1;
+            }
+        }
+        pair.drain_all();
+        assert!(pair.queue.is_empty());
+    }
+    assert!(withdrawn > 1_000, "withdrawn {withdrawn}");
+    assert!(refused > 1_000, "refused {refused}");
+    assert!(passed > 100, "passed {passed}");
+}
+
+#[test]
+fn a_cancel_in_the_near_tier_is_refused_and_the_entry_delivered() {
+    let mut pair = Pair::new();
+    pair.push(10, 0);
+    pair.push(20, 0);
+    pair.push(5 * SLICE, 0);
+    // 20 ns shares the open slice with the head: refused, still popped.
+    assert!(!pair.cancel((20, 0, 1)));
+    // 5 slices out is far: withdrawn.
+    assert!(pair.cancel((5 * SLICE, 0, 2)));
+    assert_eq!(pair.pop(), Some(10));
+    assert_eq!(pair.pop(), Some(20));
+    assert!(pair.queue.is_empty());
+    assert_eq!(pair.queue.len(), 0);
+}
+
+#[test]
+fn a_bucket_cancelled_empty_is_skipped() {
+    let mut pair = Pair::new();
+    pair.push(0, 0);
+    // Slice 3 holds three entries, all cancelled; slice 4 one, kept;
+    // slice 6 one, cancelled, leaving nothing behind it.
+    for at in [3 * SLICE, 3 * SLICE + 7, 4 * SLICE - 1] {
+        pair.push(at, 0);
+    }
+    pair.push(4 * SLICE + 9, 1);
+    pair.push(6 * SLICE, 0);
+    for k in [
+        (3 * SLICE, 0, 1),
+        (3 * SLICE + 7, 0, 2),
+        (4 * SLICE - 1, 0, 3),
+    ] {
+        assert!(pair.cancel(k));
+    }
+    assert!(pair.cancel((6 * SLICE, 0, 5)));
+    assert_eq!(pair.queue.len(), 2);
+    assert_eq!(pair.pop(), Some(0));
+    // The pour skipped the empty slice 3 and opened slice 4.
+    assert_eq!(
+        pair.queue.peek_at(),
+        Some(SimTime::from_nanos(4 * SLICE + 9))
+    );
+    // A push below the skipped slice still sorts first.
+    pair.push(3 * SLICE + 1, 2);
+    assert_eq!(pair.pop(), Some(3 * SLICE + 1));
+    assert_eq!(pair.pop(), Some(4 * SLICE + 9));
+    // The last bucket cancelled empty too: the queue is empty.
+    assert!(pair.queue.is_empty());
+    assert_eq!(pair.queue.peek_at(), None);
+    pair.push(2, 0);
     pair.drain_all();
 }
