@@ -452,6 +452,9 @@ struct InFlight {
     hedged: bool,
     /// Current retransmission-timer generation (see [`GwTimeout`]).
     timer_gen: u64,
+    /// The armed retransmission timer, cancelled when a newer attempt
+    /// re-arms it or the request retires.
+    timer: Option<TimerId>,
     /// The replicated-KV op `(write, value)`, for the `KvResponse`
     /// emitted when the request resolves.
     kv_op: Option<(bool, u64)>,
@@ -624,11 +627,15 @@ impl Gateway {
             .map_or(DEFAULT_TENANT, |d| d.tenant_of(workload_id))
     }
 
-    /// Removes a request's record and releases its tenant's in-flight
-    /// quota slot. Every terminal path goes through here: completed,
-    /// expired, gave up, placement vanished, handed off, and crash.
-    fn retire(&mut self, request_id: u64) -> Option<InFlight> {
-        let rec = self.in_flight.remove(&request_id)?;
+    /// Removes a request's record, cancels its retransmission timer and
+    /// releases its tenant's in-flight quota slot. Every terminal path
+    /// goes through here: completed, expired, gave up, placement vanished,
+    /// handed off, and crash.
+    fn retire(&mut self, ctx: &mut Ctx<'_>, request_id: u64) -> Option<InFlight> {
+        let mut rec = self.in_flight.remove(&request_id)?;
+        if let Some(timer) = rec.timer.take() {
+            ctx.cancel(timer);
+        }
         if let Some(n) = self.tenant_in_flight.get_mut(&rec.tenant_id) {
             *n = n.saturating_sub(1);
         }
@@ -847,12 +854,15 @@ impl Gateway {
         // attempts piggyback on the primary attempt's timer instead of
         // arming their own.
         if arm_timer {
-            if let Some(rec) = self.in_flight.get(&request_id) {
+            if let Some(rec) = self.in_flight.get_mut(&request_id) {
                 let timer =
                     self.policy
                         .retry_timer(ctx.now(), rec.first_sent_at, rec.attempts, ctx.rng());
                 let gen = rec.timer_gen;
-                ctx.send_self(send_delay + timer, GwTimeout { request_id, gen });
+                let armed = ctx.send_timer(send_delay + timer, GwTimeout { request_id, gen });
+                if let Some(superseded) = rec.timer.replace(armed) {
+                    ctx.cancel(superseded);
+                }
             }
         }
     }
@@ -978,7 +988,7 @@ impl Gateway {
             detail,
         });
         for request_id in lost {
-            self.retire(request_id);
+            self.retire(ctx, request_id);
         }
         self.pending_lat.clear();
         self.lat_timer_armed = false;
@@ -1045,7 +1055,7 @@ impl Gateway {
         let to_gateway = drain.successor_gateway;
         let handed = ids.len() as u64;
         for request_id in ids {
-            let rec = self.retire(request_id).expect("listed above");
+            let rec = self.retire(ctx, request_id).expect("listed above");
             ctx.emit(|| TraceEvent::GwHandoff {
                 from_gateway,
                 to_gateway,
@@ -1216,6 +1226,7 @@ impl Gateway {
                 primary_mac: endpoint.mac,
                 hedged: false,
                 timer_gen: 0,
+                timer: None,
                 kv_op: kv_op.map(|(_, write, value)| (write, value)),
             },
         );
@@ -1383,7 +1394,7 @@ impl Gateway {
             }
             return;
         }
-        let Some(rec) = self.retire(hdr.request_id) else {
+        let Some(rec) = self.retire(ctx, hdr.request_id) else {
             self.duplicates += 1;
             return; // duplicate (e.g. the losing side of a hedge race)
         };
@@ -1530,7 +1541,7 @@ impl Gateway {
             .policy
             .gives_up(ctx.now(), rec.first_sent_at, rec.attempts)
         {
-            let rec = self.retire(request_id).expect("checked above");
+            let rec = self.retire(ctx, request_id).expect("checked above");
             self.fail(ctx, request_id, rec, None);
             return;
         }
@@ -1556,7 +1567,7 @@ impl Gateway {
         let Some(endpoint) = picked else {
             // The placement vanished mid-flight: fail the request
             // instead of letting it dangle without a timer.
-            let rec = self.retire(request_id).expect("checked above");
+            let rec = self.retire(ctx, request_id).expect("checked above");
             self.fail(ctx, request_id, rec, None);
             return;
         };

@@ -543,6 +543,8 @@ struct PendingClient {
     owner: u32,
     /// Re-route attempts so far.
     reroutes: u32,
+    /// The armed [`ResubmitCheck`], cancelled on delivery.
+    watchdog: Option<TimerId>,
 }
 
 /// The tier's client-facing router: consistent-hash dispatch, duplicate
@@ -650,18 +652,30 @@ impl ShardRouter {
                 token: req.token,
                 owner,
                 reroutes: 0,
+                watchdog: None,
             },
         );
         self.dispatch(ctx, uid);
-        ctx.send_self(self.cfg.resubmit_timeout, ResubmitCheck { uid });
+        self.arm_watchdog(ctx, uid);
+    }
+
+    /// Arms the liveness watchdog of the pending request `uid`.
+    fn arm_watchdog(&mut self, ctx: &mut Ctx<'_>, uid: u64) {
+        let timer = ctx.send_timer(self.cfg.resubmit_timeout, ResubmitCheck { uid });
+        if let Some(p) = self.pending.get_mut(&uid) {
+            p.watchdog = Some(timer);
+        }
     }
 
     /// Delivers the terminal completion for `uid` — the single point at
     /// which a client ever hears about its request.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, uid: u64, done: &RequestDone) {
-        let Some(p) = self.pending.remove(&uid) else {
+        let Some(mut p) = self.pending.remove(&uid) else {
             return;
         };
+        if let Some(watchdog) = p.watchdog.take() {
+            ctx.cancel(watchdog);
+        }
         let gateway = p.owner;
         let failed = done.failed;
         ctx.emit(|| TraceEvent::GwClientComplete {
@@ -743,7 +757,7 @@ impl ShardRouter {
         // change yet). Re-submit to the current owner; duplicate
         // suppression makes this safe.
         self.reroute(ctx, uid);
-        ctx.send_self(self.cfg.resubmit_timeout, ResubmitCheck { uid });
+        self.arm_watchdog(ctx, uid);
     }
 
     fn on_install(&mut self, ctx: &mut Ctx<'_>, map: Arc<ShardMap>) {

@@ -110,6 +110,8 @@ pub struct RaftNode {
     next_index: FastMap<NodeId, LogIndex>,
     match_index: FastMap<NodeId, LogIndex>,
     election_epoch: u64,
+    /// The armed [`ElectionTimeout`], cancelled when a reset supersedes it.
+    election_timer: Option<TimerId>,
 
     /// Whether the node is crashed (ignores traffic until restart).
     crashed: bool,
@@ -160,6 +162,7 @@ impl RaftNode {
             next_index: FastMap::default(),
             match_index: FastMap::default(),
             election_epoch: 0,
+            election_timer: None,
             crashed: false,
             kv: KvStore::default(),
             applied_digest: 0,
@@ -316,12 +319,15 @@ impl RaftNode {
         let min = self.cfg.election_timeout_min.as_nanos();
         let max = self.cfg.election_timeout_max.as_nanos();
         let delay = SimDuration::from_nanos(ctx.rng().gen_range(min..=max));
-        ctx.send_self(
+        let armed = ctx.send_timer(
             delay,
             ElectionTimeout {
                 epoch: self.election_epoch,
             },
         );
+        if let Some(superseded) = self.election_timer.replace(armed) {
+            ctx.cancel(superseded);
+        }
     }
 
     fn become_follower(&mut self, ctx: &mut Ctx<'_>, term: Term) {
