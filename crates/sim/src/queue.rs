@@ -18,14 +18,18 @@
 //! the global minimum and pop order is exactly the entries' [`Ord`] — for
 //! the engine, `(at, seq)` — whatever the push interleaving.
 //!
-//! [`EventQueue::cancel`] removes a far entry without searching for it: it
-//! records the entry's sequence number against its bucket, and the pour
-//! leaves the recorded entries behind. A near entry cannot be cancelled;
-//! it is delivered as if the cancel had not happened.
+//! [`EventQueue::cancel`] withdraws any entry still pending without
+//! searching for it: it records the entry's sequence number in one set.
+//! A pour leaves the far entries the set names behind, and the queue
+//! discards a near head it names, pouring the next bucket whenever the
+//! heap empties, so the near heap's head is never a cancelled entry. The
+//! queue remembers the last entry it popped and refuses a cancel at or
+//! before it, since that entry has been delivered.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
+use crate::hash::FastSet;
 use crate::time::SimTime;
 
 /// Width of one far bucket, as a power of two in nanoseconds. Fixed: the
@@ -40,37 +44,6 @@ pub trait Timed: Ord {
     /// A number no other entry of the same queue carries; it names the
     /// entry to [`EventQueue::cancel`].
     fn seq(&self) -> u64;
-}
-
-/// The entries of one far time slice, and the sequence numbers of those
-/// among them that were cancelled.
-#[derive(Debug)]
-struct Bucket<T> {
-    entries: Vec<T>,
-    cancelled: Vec<u64>,
-}
-
-impl<T> Default for Bucket<T> {
-    fn default() -> Self {
-        Bucket {
-            entries: Vec::new(),
-            cancelled: Vec::new(),
-        }
-    }
-}
-
-impl<T: Timed> Bucket<T> {
-    /// Drops the cancelled entries and clears the cancel list.
-    fn sweep(&mut self) {
-        if self.cancelled.is_empty() {
-            return;
-        }
-        self.cancelled.sort_unstable();
-        let cancelled = &self.cancelled;
-        self.entries
-            .retain(|e| cancelled.binary_search(&e.seq()).is_err());
-        self.cancelled.clear();
-    }
 }
 
 /// Exclusive end, in nanoseconds, of the slice holding `ns`.
@@ -103,12 +76,12 @@ fn slice_end(ns: u64) -> u64 {
 /// q.push(Ev(SimTime::from_nanos(5), 1));
 /// q.push(Ev(SimTime::from_nanos(5), 2));
 /// q.push(Ev(SimTime::from_nanos(300_000_000), 3)); // settled early
-/// assert!(q.cancel(SimTime::from_nanos(300_000_000), 3));
-/// assert!(!q.cancel(SimTime::from_nanos(5), 2)); // near: refused
-/// assert_eq!(q.len(), 3);
+/// assert!(q.cancel(SimTime::from_nanos(300_000_000), 3)); // far
+/// assert!(q.cancel(SimTime::from_nanos(5), 2)); // near
+/// assert_eq!(q.len(), 2);
 /// assert_eq!(q.peek_at(), Some(SimTime::from_nanos(5)));
 /// assert_eq!(q.pop(), Some(Ev(SimTime::from_nanos(5), 1)));
-/// assert_eq!(q.pop(), Some(Ev(SimTime::from_nanos(5), 2)));
+/// assert!(!q.cancel(SimTime::from_nanos(5), 1)); // already delivered
 /// assert_eq!(q.pop(), Some(Ev(SimTime::from_nanos(200_000_000), 0)));
 /// assert!(q.is_empty());
 /// ```
@@ -117,13 +90,20 @@ pub struct EventQueue<T> {
     near: BinaryHeap<Reverse<T>>,
     /// Exclusive bound of the near tier, in nanoseconds.
     horizon: u64,
-    far: BTreeMap<u64, Bucket<T>>,
-    /// Far entries not cancelled.
+    far: BTreeMap<u64, Vec<T>>,
+    /// Far entries, cancelled ones included.
     far_len: usize,
+    /// Sequence numbers of the cancelled entries still in either tier.
+    cancelled: FastSet<u64>,
+    /// How many of them are in the near heap.
+    near_cancelled: usize,
+    /// `(at, seq)` of the last entry popped; a cancel at or before it is
+    /// refused.
+    last_popped: Option<(SimTime, u64)>,
     /// Emptied buckets kept for reuse. Without them every slice re-grows
     /// fresh vectors by doubling, and the churn costs several MiB of peak
     /// RSS through allocator fragmentation.
-    spare: Vec<Bucket<T>>,
+    spare: Vec<Vec<T>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -133,6 +113,9 @@ impl<T> Default for EventQueue<T> {
             horizon: 0,
             far: BTreeMap::new(),
             far_len: 0,
+            cancelled: FastSet::default(),
+            near_cancelled: 0,
+            last_popped: None,
             spare: Vec::new(),
         }
     }
@@ -147,12 +130,13 @@ impl<T: Timed> EventQueue<T> {
     /// Number of pending entries across both tiers, cancelled ones
     /// excluded.
     pub fn len(&self) -> usize {
-        self.near.len() + self.far_len
+        self.near.len() + self.far_len - self.cancelled.len()
     }
 
     /// Whether no entry is pending.
     pub fn is_empty(&self) -> bool {
-        // Near is empty only if far is empty.
+        // Near is empty only if far is empty, and its head is never a
+        // cancelled entry.
         self.near.is_empty()
     }
 
@@ -171,31 +155,32 @@ impl<T: Timed> EventQueue<T> {
             self.far
                 .entry(ns >> SLICE_SHIFT)
                 .or_insert_with(|| spare.pop().unwrap_or_default())
-                .entries
                 .push(entry);
             self.far_len += 1;
         }
     }
 
-    /// Cancels the pending entry with sequence number `seq` due at `at`,
-    /// if it waits in the far tier, and reports whether it did. A near
-    /// entry (`at` below the horizon, which covers every instant already
-    /// delivered) is left in place and will be delivered.
+    /// Cancels the entry with sequence number `seq` due at `at`, and
+    /// reports whether it did. An entry at or before the last one popped,
+    /// in `(at, seq)` order, is refused: the engine's entries sort that
+    /// way, so such an entry has been delivered. Every later one is
+    /// withdrawn, whichever tier holds it.
     ///
-    /// The pair must name an entry that is pending and not already
+    /// The pair must name an entry that was pushed and not already
     /// cancelled: the queue does not search for it, so a stray pair
-    /// would make [`Self::len`] undercount.
+    /// would make [`Self::len`] undercount. With an [`Ord`] that breaks
+    /// ties on something before `seq`, a pending entry at the last
+    /// popped instant may be refused; it is then delivered as usual.
     pub fn cancel(&mut self, at: SimTime, seq: u64) -> bool {
-        let ns = at.as_nanos();
-        if ns < self.horizon {
+        if self.last_popped.is_some_and(|last| (at, seq) <= last) {
             return false;
         }
-        let Some(bucket) = self.far.get_mut(&(ns >> SLICE_SHIFT)) else {
-            return false;
-        };
-        debug_assert!(!bucket.cancelled.contains(&seq), "cancelled twice");
-        bucket.cancelled.push(seq);
-        self.far_len -= 1;
+        let fresh = self.cancelled.insert(seq);
+        debug_assert!(fresh, "cancelled twice");
+        if at.as_nanos() < self.horizon {
+            self.near_cancelled += 1;
+            self.skip_cancelled();
+        }
         true
     }
 
@@ -207,28 +192,43 @@ impl<T: Timed> EventQueue<T> {
     /// Removes and returns the earliest entry.
     pub fn pop(&mut self) -> Option<T> {
         let Reverse(entry) = self.near.pop()?;
-        if self.near.is_empty() {
-            self.refill();
-        }
+        self.last_popped = Some((entry.at(), entry.seq()));
+        self.skip_cancelled();
         Some(entry)
     }
 
-    /// Pours the earliest far bucket with an entry left after its cancels
-    /// into the (empty) near heap.
+    /// Discards cancelled entries at the head of the near heap, pouring
+    /// the next far bucket in whenever the heap empties.
+    fn skip_cancelled(&mut self) {
+        loop {
+            match self.near.peek() {
+                Some(Reverse(head))
+                    if self.near_cancelled > 0 && self.cancelled.remove(&head.seq()) =>
+                {
+                    self.near.pop();
+                    self.near_cancelled -= 1;
+                }
+                Some(_) => return,
+                None if self.far.is_empty() => return,
+                None => self.refill(),
+            }
+        }
+    }
+
+    /// Pours the earliest far bucket, less its cancelled entries, into
+    /// the (empty) near heap.
     fn refill(&mut self) {
-        while let Some((slice, mut bucket)) = self.far.pop_first() {
+        if let Some((slice, mut bucket)) = self.far.pop_first() {
             self.horizon = slice_end(slice << SLICE_SHIFT);
-            bucket.sweep();
-            self.far_len -= bucket.entries.len();
+            self.far_len -= bucket.len();
             // Heapify in one O(n) pass inside the near heap's own buffer,
-            // and keep the bucket's buffers for a later slice.
+            // and keep the bucket's buffer for a later slice.
+            let cancelled = &mut self.cancelled;
+            let live = bucket.drain(..).filter(|e| !cancelled.remove(&e.seq()));
             let mut heap = std::mem::take(&mut self.near).into_vec();
-            heap.extend(bucket.entries.drain(..).map(Reverse));
+            heap.extend(live.map(Reverse));
             self.near = BinaryHeap::from(heap);
             self.spare.push(bucket);
-            if !self.near.is_empty() {
-                return;
-            }
         }
     }
 
@@ -237,12 +237,12 @@ impl<T: Timed> EventQueue<T> {
     pub fn drain(&mut self) -> impl Iterator<Item = T> {
         let near = std::mem::take(&mut self.near).into_vec();
         let far = std::mem::take(&mut self.far);
+        let cancelled = std::mem::take(&mut self.cancelled);
         self.far_len = 0;
+        self.near_cancelled = 0;
         near.into_iter()
             .map(|Reverse(e)| e)
-            .chain(far.into_values().flat_map(|mut bucket| {
-                bucket.sweep();
-                bucket.entries
-            }))
+            .chain(far.into_values().flatten())
+            .filter(move |e| !cancelled.contains(&e.seq()))
     }
 }

@@ -8,7 +8,9 @@
 //! `(at, seq)`. Cancels are mirrored too: a cancel the queue accepts
 //! removes the key from the reference, and one it refuses leaves the
 //! entry to be delivered, so an accepted cancel that still delivered, or
-//! a refused one that lost its entry, shows up as a diverging pop.
+//! a refused one that lost its entry, shows up as a diverging pop. The
+//! queue must withdraw every entry after the last one popped, in
+//! `(at, seq)` order, and refuse the rest, in either tier.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,6 +50,7 @@ struct Pair {
     queue: EventQueue<Ev>,
     reference: BinaryHeap<Reverse<Key>>,
     seq: u64,
+    last_popped: Option<Key>,
 }
 
 impl Pair {
@@ -56,6 +59,7 @@ impl Pair {
             queue: EventQueue::new(),
             reference: BinaryHeap::new(),
             seq: 0,
+            last_popped: None,
         }
     }
 
@@ -75,6 +79,7 @@ impl Pair {
         let want = self.reference.pop().map(|Reverse(k)| k);
         let got = self.queue.pop().map(|e| key(&e));
         assert_eq!(got, want, "pop order diverged from the reference heap");
+        self.last_popped = got.or(self.last_popped);
         self.check_head();
         got.map(|(at, _, _)| at)
     }
@@ -83,6 +88,13 @@ impl Pair {
     /// withdrew it. Returns whether it did.
     fn cancel(&mut self, k: Key) -> bool {
         let withdrawn = self.queue.cancel(SimTime::from_nanos(k.0), k.2);
+        let delivered = self
+            .last_popped
+            .is_some_and(|(at, _, seq)| (k.0, k.2) <= (at, seq));
+        assert_eq!(
+            withdrawn, !delivered,
+            "a cancel after the last pop must withdraw, one at or before it must not"
+        );
         if withdrawn {
             let before = self.reference.len();
             self.reference.retain(|Reverse(r)| *r != k);
@@ -259,7 +271,7 @@ fn drain_returns_every_entry_across_both_tiers() {
 
 #[test]
 fn random_cancels_match_the_reference() {
-    let (mut withdrawn, mut refused, mut passed) = (0, 0, 0);
+    let (mut withdrawn, mut near, mut refused, mut passed) = (0, 0, 0, 0);
     for seed in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(1_000 + seed);
         let mut pair = Pair::new();
@@ -277,9 +289,14 @@ fn random_cancels_match_the_reference() {
                 }
             } else if roll < 19 {
                 let k = pair.pick(&mut rng).expect("non-empty");
+                // In the last popped entry's slice: below the horizon.
+                let in_near = pair.last_popped.is_some_and(|l| l.0 / SLICE == k.0 / SLICE);
                 if pair.cancel(k) {
                     withdrawn += 1;
+                    near += usize::from(in_near);
                 } else {
+                    // Pushed below the last pop, which the engine never
+                    // does: refused, and delivered next.
                     refused += 1;
                 }
             } else if let Some(k) = delivered {
@@ -291,25 +308,74 @@ fn random_cancels_match_the_reference() {
         pair.drain_all();
         assert!(pair.queue.is_empty());
     }
-    assert!(withdrawn > 1_000, "withdrawn {withdrawn}");
-    assert!(refused > 1_000, "refused {refused}");
-    assert!(passed > 100, "passed {passed}");
+    assert!(withdrawn > 10_000, "withdrawn {withdrawn}");
+    assert!(near > 2_000, "withdrawn from the near tier {near}");
+    assert!(refused > 100, "refused {refused}");
+    assert!(passed > 1_000, "passed {passed}");
 }
 
 #[test]
-fn a_cancel_in_the_near_tier_is_refused_and_the_entry_delivered() {
+fn a_cancel_in_the_near_tier_withdraws_the_entry() {
     let mut pair = Pair::new();
     pair.push(10, 0);
     pair.push(20, 0);
+    pair.push(30, 0);
     pair.push(5 * SLICE, 0);
-    // 20 ns shares the open slice with the head: refused, still popped.
-    assert!(!pair.cancel((20, 0, 1)));
+    // 20 ns shares the open slice with the head: withdrawn all the same.
+    assert!(pair.cancel((20, 0, 1)));
     // 5 slices out is far: withdrawn.
-    assert!(pair.cancel((5 * SLICE, 0, 2)));
+    assert!(pair.cancel((5 * SLICE, 0, 3)));
     assert_eq!(pair.pop(), Some(10));
-    assert_eq!(pair.pop(), Some(20));
+    // Delivered: refused.
+    assert!(!pair.cancel((10, 0, 0)));
+    // The head itself: withdrawn, which empties the queue.
+    assert!(pair.cancel((30, 0, 2)));
     assert!(pair.queue.is_empty());
     assert_eq!(pair.queue.len(), 0);
+    assert_eq!(pair.queue.peek_at(), None);
+}
+
+#[test]
+fn a_timer_that_opens_its_own_slice_is_withdrawn() {
+    let mut pair = Pair::new();
+    // Armed into an empty queue, the timer opens its slice as the near
+    // tier, and everything before it lands in the near heap too.
+    pair.push(200_000_000, 0);
+    for at in [5, 1_000, 199_999_999] {
+        pair.push(at, 1);
+    }
+    assert!(pair.cancel((200_000_000, 0, 0)));
+    assert_eq!(pair.pop(), Some(5));
+    // A second one, armed behind a pending event, is withdrawn too.
+    pair.push(200_000_005, 0);
+    assert!(pair.cancel((200_000_005, 0, 4)));
+    pair.drain_all();
+    assert!(pair.queue.is_empty());
+}
+
+#[test]
+fn withdrawing_every_near_entry_pours_the_next_bucket() {
+    let mut pair = Pair::new();
+    pair.push(0, 0);
+    pair.push(100, 0);
+    pair.push(200, 0);
+    pair.push(3 * SLICE + 5, 0);
+    pair.push(7 * SLICE, 0);
+    assert_eq!(pair.pop(), Some(0));
+    // The head goes first, then the last near entry: the pour opens
+    // slice 3, and `peek_at` never sees a withdrawn entry.
+    assert!(pair.cancel((100, 0, 1)));
+    assert_eq!(pair.queue.peek_at(), Some(SimTime::from_nanos(200)));
+    assert!(pair.cancel((200, 0, 2)));
+    assert_eq!(
+        pair.queue.peek_at(),
+        Some(SimTime::from_nanos(3 * SLICE + 5))
+    );
+    // Now slice 3 is the near tier; withdraw its only entry as well.
+    assert!(pair.cancel((3 * SLICE + 5, 0, 3)));
+    assert_eq!(pair.queue.peek_at(), Some(SimTime::from_nanos(7 * SLICE)));
+    assert_eq!(pair.pop(), Some(7 * SLICE));
+    assert!(pair.queue.is_empty());
 }
 
 #[test]
