@@ -36,11 +36,6 @@ impl MacAddr {
     pub const fn octets(self) -> [u8; 6] {
         self.0
     }
-
-    /// Returns `true` for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
 }
 
 impl fmt::Debug for MacAddr {
@@ -146,8 +141,7 @@ mod tests {
         let b = MacAddr::from_index(2);
         assert_ne!(a, b);
         assert_eq!(a, MacAddr::from_index(1));
-        assert!(!a.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
+        assert_ne!(a, MacAddr::BROADCAST);
     }
 
     #[test]

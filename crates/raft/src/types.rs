@@ -126,17 +126,6 @@ impl KvStore {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Iterates keys with a given prefix.
-    pub fn scan_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a [u8])> + 'a {
-        self.data
-            .range(prefix.to_owned()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
 }
 
 /// Chains one applied entry onto a state-machine digest: the digest at
@@ -229,16 +218,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_prefix_selects_range() {
+    fn keys_sharing_a_prefix_are_stored_apart() {
         let mut kv = KvStore::default();
         for k in ["app/a", "app/b", "apq/c", "zap"] {
             kv.apply(&Command::Put {
                 key: k.into(),
-                value: vec![],
+                value: k.as_bytes().to_vec(),
             });
         }
-        let keys: Vec<&str> = kv.scan_prefix("app/").map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["app/a", "app/b"]);
         assert_eq!(kv.len(), 4);
+        for k in ["app/a", "app/b", "apq/c", "zap"] {
+            assert_eq!(kv.get(k), Some(k.as_bytes()));
+        }
+        assert_eq!(kv.get("app/"), None);
     }
 }

@@ -53,11 +53,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the instant as (fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns the instant as (fractional) milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -132,11 +127,6 @@ impl SimDuration {
     /// Returns the span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the span as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Returns the span as fractional milliseconds.
@@ -351,7 +341,6 @@ mod tests {
     fn conversions_to_float_units() {
         let d = SimDuration::from_nanos(1_500_000);
         assert!((d.as_millis_f64() - 1.5).abs() < 1e-12);
-        assert!((d.as_micros_f64() - 1_500.0).abs() < 1e-9);
         let t = SimTime::from_nanos(2_000_000_000);
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-12);
     }

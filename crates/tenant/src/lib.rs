@@ -165,18 +165,6 @@ impl TenantDirectory {
         a
     }
 
-    /// Workloads owned by `tenant`, sorted.
-    pub fn workloads_of(&self, tenant: TenantId) -> Vec<u32> {
-        let mut w: Vec<u32> = self
-            .owner
-            .iter()
-            .filter(|(_, &t)| t == tenant)
-            .map(|(&w, _)| w)
-            .collect();
-        w.sort_unstable();
-        w
-    }
-
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -242,7 +230,6 @@ mod tests {
         assert_eq!(dir.spec_of(1).thread_quota, 8);
         assert_eq!(dir.spec_of(2).max_in_flight, 4);
         assert_eq!(dir.tenants(), vec![1, 2]);
-        assert_eq!(dir.workloads_of(1), vec![100, 101]);
         assert_eq!(dir.assignments(), vec![(100, 1), (101, 1), (200, 2)]);
         assert_eq!(dir.len(), 2);
     }
@@ -266,6 +253,6 @@ mod tests {
         dir.assign(7, 1);
         dir.assign(7, 2);
         assert_eq!(dir.tenant_of(7), 2);
-        assert!(dir.workloads_of(1).is_empty());
+        assert_eq!(dir.assignments(), vec![(7, 2)]);
     }
 }
