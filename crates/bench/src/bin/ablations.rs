@@ -271,7 +271,6 @@ fn rtc_vs_pipelined_study() {
 fn native_runtime_study() {
     use lnic_host::{HostBackend, HostParams};
     use lnic_mlambda::compile::{compile, CompileOptions};
-    use lnic_net::link::Link;
     use lnic_net::params::LinkParams;
     use lnic_net::switch::Switch;
 
@@ -298,17 +297,15 @@ fn native_runtime_study() {
                 .workers(1),
         );
         let w = bed.workers[0];
-        let uplink = bed.sim.add(Link::new(bed.switch, LinkParams::ten_gbps()));
         let program = web_program(&SuiteConfig::default());
         let fw = compile(&program, &CompileOptions::optimized()).unwrap();
-        let native = HostBackend::new(HostParams::native(56), w.mac, w.addr.ip, uplink)
+        let native = HostBackend::new(HostParams::native(56), w.mac, w.addr.ip, bed.switch)
             .preload(Arc::new(fw.program.clone()));
         let id = bed.sim.add(native);
-        let port = bed.sim.add(Link::new(id, LinkParams::ten_gbps()));
         bed.sim
             .get_mut::<Switch>(bed.switch)
             .unwrap()
-            .connect(w.mac, port);
+            .attach(id, w.mac, LinkParams::ten_gbps());
         bed.place(lnic_workloads::WEB_ID.0, 0);
         let (lat, _) = drive(&mut bed, 8, 50);
         results.push(("bare metal (native, no GIL)", lat.summary()));

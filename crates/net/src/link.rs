@@ -1,12 +1,12 @@
-//! Point-to-point links with serialization, propagation, and queueing.
+//! Switch ports: serialization, propagation, queueing and fault windows.
 //!
-//! A [`Link`] is *simplex*: it carries frames from whoever sends to it
-//! toward a single destination component. A full-duplex cable is modeled as
-//! two `Link` components, one per direction. Frames serialize one at a time
-//! at the link bandwidth (transmission starts when the previous frame's last
-//! bit leaves), then propagate for a fixed delay. A bounded transmit queue
-//! drops excess frames, which the weakly-consistent transport recovers via
-//! retransmission.
+//! A [`Port`] is one direction of one cable: frames serialize one at a
+//! time at the port's bandwidth (transmission starts when the previous
+//! frame's last bit leaves), then propagate for a fixed delay. A bounded
+//! transmit queue drops excess frames, which the weakly-consistent
+//! transport recovers via retransmission. Ports are not components: the
+//! [`crate::switch::Switch`] owns them and runs them inside its events
+//! (see the crate example).
 
 use std::collections::VecDeque;
 
@@ -16,54 +16,29 @@ use rand::Rng;
 use crate::packet::{Packet, ETH_HDR_LEN};
 use crate::params::LinkParams;
 
-/// A unidirectional network link.
-///
-/// Send it [`Packet`] messages; it delivers them to `dst` after
-/// serialization + propagation delay.
+/// One simplex port: a transmitter, its queue and the cable behind it.
 ///
 /// A frame's bytes count against `queue_capacity_bytes` from its arrival
-/// until its last bit leaves the transmitter. The link schedules no event
+/// until its last bit leaves the transmitter. The port schedules no event
 /// for that instant: it keeps a FIFO of `(tx_end, seq, bytes)`, one entry
 /// per accepted frame, where `seq` is [`Ctx::next_seq`] at transmit, and
 /// settles the entries that have passed before each overflow check. An
-/// entry has passed when `tx_end` is earlier than now, or equal to it with
-/// `seq` no later than the arriving frame's [`Ctx::event_seq`]: exactly
-/// when a self-event sent at transmit would have been delivered before the
+/// entry has passed when `tx_end` is earlier than the frame's instant, or
+/// equal to it with `seq` no later than the frame's sequence number: for
+/// an ingress port, run at the sender's event, that is exactly when a
+/// self-event sent at transmit would have been delivered before the
 /// frame.
 ///
 /// # Examples
 ///
 /// ```
-/// use lnic_sim::prelude::*;
-/// use lnic_net::link::Link;
+/// use lnic_net::link::Port;
 /// use lnic_net::params::LinkParams;
-/// use lnic_net::packet::Packet;
-/// use lnic_net::addr::{Ipv4Addr, MacAddr, SocketAddr};
 ///
-/// struct Sink(u32);
-/// impl Component for Sink {
-///     fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
-///         msg.downcast::<Packet>().expect("packet");
-///         self.0 += 1;
-///     }
-/// }
-///
-/// let mut sim = Simulation::new(1);
-/// let sink = sim.add(Sink(0));
-/// let link = sim.add(Link::new(sink, LinkParams::ten_gbps()));
-/// let p = Packet::builder()
-///     .eth(MacAddr::from_index(1), MacAddr::from_index(2))
-///     .udp(
-///         SocketAddr::new(Ipv4Addr::node(1), 1),
-///         SocketAddr::new(Ipv4Addr::node(2), 2),
-///     )
-///     .build();
-/// sim.post(link, SimDuration::ZERO, p);
-/// sim.run();
-/// assert_eq!(sim.get::<Sink>(sink).unwrap().0, 1);
+/// let port = Port::new(LinkParams::ten_gbps());
+/// assert_eq!((port.delivered(), port.dropped()), (0, 0));
 /// ```
-pub struct Link {
-    dst: ComponentId,
+pub struct Port {
     params: LinkParams,
     /// Virtual time at which the transmitter becomes free.
     tx_free_at: SimTime,
@@ -73,24 +48,16 @@ pub struct Link {
     /// `(tx_end, seq, bytes)` of every frame counted in `queued_bytes`,
     /// in transmit order (see the type docs).
     tx_ends: VecDeque<(SimTime, u64, usize)>,
-    /// The link is dark (flapped) until this instant.
-    down_until: SimTime,
-    /// A loss burst elevates the drop probability until this instant.
-    burst_until: SimTime,
-    /// Drop probability while the burst window is active.
-    burst_prob: f64,
-    /// Frames get extra uniform delay (reordering) until this instant.
-    reorder_until: SimTime,
-    /// Maximum extra delay while the reorder window is active.
-    reorder_spread: SimDuration,
-    /// Frames are duplicated with `dup_prob` until this instant.
-    dup_until: SimTime,
-    /// Duplication probability while the window is active.
-    dup_prob: f64,
-    /// Frames get one bit flipped with `corrupt_prob` until this instant.
-    corrupt_until: SimTime,
-    /// Corruption probability while the window is active.
-    corrupt_prob: f64,
+    /// The port is dark (flapped).
+    down: Window<()>,
+    /// A loss burst: frames drop with this probability.
+    burst: Window<f64>,
+    /// Frames get an extra uniform delay up to this spread (reordering).
+    reorder: Window<SimDuration>,
+    /// Frames are duplicated with this probability.
+    duplicate: Window<f64>,
+    /// Frames get one bit flipped with this probability.
+    corrupt: Window<f64>,
     delivered: Counter,
     dropped: Counter,
     fault_drops: Counter,
@@ -98,24 +65,41 @@ pub struct Link {
     corrupt_detected: Counter,
 }
 
-impl Link {
-    /// Creates a link that delivers frames to `dst`.
-    pub fn new(dst: ComponentId, params: LinkParams) -> Self {
-        Link {
-            dst,
+/// A fault window on a [`Port`]: open before `until`, with `value` its
+/// parameter while it is.
+#[derive(Clone, Copy, Default)]
+struct Window<T> {
+    until: SimTime,
+    value: T,
+}
+
+impl<T: Copy> Window<T> {
+    /// Keeps the window open until `now + duration` at least, with
+    /// `value` from now on.
+    fn open(&mut self, now: SimTime, duration: SimDuration, value: T) {
+        self.until = self.until.max(now + duration);
+        self.value = value;
+    }
+
+    /// The window's value at `now`, if it is open then.
+    fn at(&self, now: SimTime) -> Option<T> {
+        (now < self.until).then_some(self.value)
+    }
+}
+
+impl Port {
+    /// Creates an idle port.
+    pub fn new(params: LinkParams) -> Self {
+        Port {
             params,
             tx_free_at: SimTime::ZERO,
             queued_bytes: 0,
             tx_ends: VecDeque::new(),
-            down_until: SimTime::ZERO,
-            burst_until: SimTime::ZERO,
-            burst_prob: 0.0,
-            reorder_until: SimTime::ZERO,
-            reorder_spread: SimDuration::ZERO,
-            dup_until: SimTime::ZERO,
-            dup_prob: 0.0,
-            corrupt_until: SimTime::ZERO,
-            corrupt_prob: 0.0,
+            down: Window::default(),
+            burst: Window::default(),
+            reorder: Window::default(),
+            duplicate: Window::default(),
+            corrupt: Window::default(),
             delivered: Counter::new(),
             dropped: Counter::new(),
             fault_drops: Counter::new(),
@@ -150,11 +134,6 @@ impl Link {
         self.corrupt_detected.get()
     }
 
-    /// Time to clock `bytes` onto the wire at this link's bandwidth.
-    pub fn serialization_delay(&self, bytes: usize) -> SimDuration {
-        self.params.serialization_delay(bytes)
-    }
-
     /// Attributes a dropped frame to its owning request when it was one
     /// fragment of a multi-packet message. Losing a fragment silently
     /// stalls the whole reassembly at the receiver, so conservation
@@ -172,57 +151,24 @@ impl Link {
             });
         }
     }
-}
 
-impl Component for Link {
-    fn name(&self) -> &str {
-        "link"
-    }
-
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        let msg = match msg.downcast::<lnic_sim::fault::LinkDown>() {
-            Ok(flap) => {
-                self.down_until = self.down_until.max(ctx.now() + flap.0);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::LossBurst>() {
-            Ok(burst) => {
-                self.burst_until = self.burst_until.max(ctx.now() + burst.duration);
-                self.burst_prob = burst.prob;
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::Reorder>() {
-            Ok(r) => {
-                self.reorder_until = self.reorder_until.max(ctx.now() + r.duration);
-                self.reorder_spread = r.spread;
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::Duplicate>() {
-            Ok(d) => {
-                self.dup_until = self.dup_until.max(ctx.now() + d.duration);
-                self.dup_prob = d.prob;
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::Corrupt>() {
-            Ok(c) => {
-                self.corrupt_until = self.corrupt_until.max(ctx.now() + c.duration);
-                self.corrupt_prob = c.prob;
-                return;
-            }
-            Err(other) => other,
-        };
-        let packet = msg.downcast::<Packet>().expect("links carry Packet frames");
+    /// Offers `packet` to the transmitter at `now`, the frame's instant,
+    /// and sends it on to `dst` at its arrival unless the port drops it.
+    /// `seq` is the frame's sequence number for the hand-back rule (see
+    /// the type docs). `now` may be later than the clock: the switch runs
+    /// an egress port at the forward, for the instant the frame reaches
+    /// the port.
+    pub(crate) fn transmit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        now: SimTime,
+        seq: u64,
+        dst: ComponentId,
+        packet: Box<Packet>,
+    ) {
         let bytes = packet.wire_len();
 
-        if ctx.now() < self.down_until {
+        if self.down.at(now).is_some() {
             self.dropped.incr();
             self.fault_drops.incr();
             ctx.emit(|| TraceEvent::LinkDrop {
@@ -232,9 +178,10 @@ impl Component for Link {
             Self::attribute_frag_drop(ctx, &packet, "down");
             return;
         }
-        if ctx.now() < self.burst_until
-            && self.burst_prob > 0.0
-            && ctx.rng().gen_bool(self.burst_prob)
+        if self
+            .burst
+            .at(now)
+            .is_some_and(|p| p > 0.0 && ctx.rng().gen_bool(p))
         {
             self.dropped.incr();
             self.fault_drops.incr();
@@ -255,7 +202,6 @@ impl Component for Link {
             return;
         }
         // Hand back the bytes of every frame whose last bit has left.
-        let (now, seq) = (ctx.now(), ctx.event_seq());
         while let Some(&(tx_end, tx_seq, sent)) = self.tx_ends.front() {
             if tx_end > now || (tx_end == now && tx_seq > seq) {
                 break;
@@ -274,7 +220,7 @@ impl Component for Link {
         }
         self.queued_bytes += bytes;
 
-        let start = self.tx_free_at.max(ctx.now());
+        let start = self.tx_free_at.max(now);
         let tx_end = start + self.params.serialization_delay(bytes);
         self.tx_free_at = tx_end;
         let mut arrival = tx_end + self.params.propagation;
@@ -284,9 +230,10 @@ impl Component for Link {
         // Corruption window: the frame still occupies the wire, but one bit
         // arrives flipped. The receiver's checksum verification catches the
         // mangled frame, so it dies on arrival instead of being executed.
-        if ctx.now() < self.corrupt_until
-            && self.corrupt_prob > 0.0
-            && ctx.rng().gen_bool(self.corrupt_prob)
+        if self
+            .corrupt
+            .at(now)
+            .is_some_and(|p| p > 0.0 && ctx.rng().gen_bool(p))
         {
             let mut wire = packet.encode().to_vec();
             let bit = ctx.rng().gen_range(ETH_HDR_LEN * 8..wire.len() * 8);
@@ -308,20 +255,21 @@ impl Component for Link {
 
         // Reorder window: add a uniform extra delay so later frames can
         // overtake this one in flight.
-        if ctx.now() < self.reorder_until && !self.reorder_spread.is_zero() {
-            let jitter = ctx.rng().gen_range(0..=self.reorder_spread.as_nanos());
+        if let Some(spread) = self.reorder.at(now).filter(|s| !s.is_zero()) {
+            let jitter = ctx.rng().gen_range(0..=spread.as_nanos());
             arrival += SimDuration::from_nanos(jitter);
         }
 
         // Duplication window: deliver a second copy back-to-back behind the
         // first, as a misbehaving switch would. Only this path copies the
         // frame; the original travels on in the box it arrived in.
-        let duplicate = (ctx.now() < self.dup_until
-            && self.dup_prob > 0.0
-            && ctx.rng().gen_bool(self.dup_prob))
-        .then(|| Box::new((*packet).clone()));
+        let duplicate = self
+            .duplicate
+            .at(now)
+            .is_some_and(|p| p > 0.0 && ctx.rng().gen_bool(p))
+            .then(|| Box::new((*packet).clone()));
 
-        ctx.send_boxed(self.dst, arrival - ctx.now(), packet);
+        ctx.send_boxed(dst, arrival - ctx.now(), packet);
         self.delivered.incr();
         ctx.emit(|| TraceEvent::LinkTx {
             bytes: bytes as u64,
@@ -329,10 +277,52 @@ impl Component for Link {
 
         if let Some(copy) = duplicate {
             let dup_arrival = arrival + self.params.serialization_delay(bytes);
-            ctx.send_boxed(self.dst, dup_arrival - ctx.now(), copy);
+            ctx.send_boxed(dst, dup_arrival - ctx.now(), copy);
             self.duplicated.incr();
         }
     }
+}
+
+/// If `msg` is one of the five link faults of [`lnic_sim::fault`], opens
+/// its window at `now` on the port it names among `ports`; otherwise
+/// hands `msg` back.
+pub(crate) fn open_fault(
+    ports: &mut [Port],
+    now: SimTime,
+    msg: AnyMessage,
+) -> Result<(), AnyMessage> {
+    use lnic_sim::fault::{Corrupt, Duplicate, LinkDown, LossBurst, Reorder};
+    let msg = match msg.downcast::<LinkDown>() {
+        Ok(f) => {
+            ports[f.port].down.open(now, f.duration, ());
+            return Ok(());
+        }
+        Err(other) => other,
+    };
+    let msg = match msg.downcast::<LossBurst>() {
+        Ok(f) => {
+            ports[f.port].burst.open(now, f.duration, f.prob);
+            return Ok(());
+        }
+        Err(other) => other,
+    };
+    let msg = match msg.downcast::<Reorder>() {
+        Ok(f) => {
+            ports[f.port].reorder.open(now, f.duration, f.spread);
+            return Ok(());
+        }
+        Err(other) => other,
+    };
+    let msg = match msg.downcast::<Duplicate>() {
+        Ok(f) => {
+            ports[f.port].duplicate.open(now, f.duration, f.prob);
+            return Ok(());
+        }
+        Err(other) => other,
+    };
+    let f = msg.downcast::<Corrupt>()?;
+    ports[f.port].corrupt.open(now, f.duration, f.prob);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -340,6 +330,38 @@ mod tests {
     use super::*;
     use crate::addr::{Ipv4Addr, MacAddr, SocketAddr};
     use bytes::Bytes;
+
+    /// Drives one [`Port`] as a component of its own: each frame runs
+    /// the port at the frame's own event, exactly as an ingress port
+    /// runs inside the switch, and a link fault opens its window.
+    struct Harness {
+        port: Port,
+        dst: ComponentId,
+    }
+    impl Harness {
+        fn new(dst: ComponentId, params: LinkParams) -> Self {
+            Harness {
+                port: Port::new(params),
+                dst,
+            }
+        }
+    }
+    impl Component for Harness {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+            let (now, seq) = (ctx.now(), ctx.event_seq());
+            match msg.downcast::<Packet>() {
+                Ok(p) => self.port.transmit(ctx, now, seq, self.dst, p),
+                Err(fault) => {
+                    assert!(open_fault(std::slice::from_mut(&mut self.port), now, fault).is_ok())
+                }
+            }
+        }
+    }
+
+    /// The port a [`Harness`] drives.
+    fn port(sim: &Simulation, harness: ComponentId) -> &Port {
+        &sim.get::<Harness>(harness).unwrap().port
+    }
 
     struct Recorder {
         arrivals: Vec<(SimTime, usize)>,
@@ -365,7 +387,7 @@ mod tests {
     fn setup(params: LinkParams) -> (Simulation, ComponentId, ComponentId) {
         let mut sim = Simulation::new(1);
         let sink = sim.add(Recorder { arrivals: vec![] });
-        let link = sim.add(Link::new(sink, params));
+        let link = sim.add(Harness::new(sink, params));
         (sim, link, sink)
     }
 
@@ -420,8 +442,8 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.get::<Recorder>(sink).unwrap().arrivals.len(), 1);
-        assert_eq!(sim.get::<Link>(link).unwrap().dropped(), 4);
-        assert_eq!(sim.get::<Link>(link).unwrap().delivered(), 1);
+        assert_eq!(port(&sim, link).dropped(), 4);
+        assert_eq!(port(&sim, link).delivered(), 1);
     }
 
     #[test]
@@ -442,7 +464,7 @@ mod tests {
         );
         sim.run();
         assert_eq!(sim.get::<Recorder>(sink).unwrap().arrivals.len(), 2);
-        assert_eq!(sim.get::<Link>(link).unwrap().dropped(), 0);
+        assert_eq!(port(&sim, link).dropped(), 0);
     }
 
     /// Tells a [`Sender`] to put one 100-byte frame on the link after
@@ -483,7 +505,7 @@ mod tests {
         let arrivals = sim.get::<Recorder>(sink).unwrap().arrivals.iter();
         (
             arrivals.map(|(t, _)| t.as_nanos()).collect(),
-            sim.get::<Link>(link).unwrap().dropped(),
+            port(sim, link).dropped(),
         )
     }
 
@@ -573,7 +595,7 @@ mod tests {
         }
         sim.run();
         let delivered = sim.get::<Recorder>(sink).unwrap().arrivals.len();
-        let dropped = sim.get::<Link>(link).unwrap().dropped() as usize;
+        let dropped = port(&sim, link).dropped() as usize;
         assert_eq!(delivered + dropped, 1_000);
         assert!((200..400).contains(&dropped), "dropped {dropped}");
     }
@@ -590,7 +612,10 @@ mod tests {
         sim.post(
             link,
             SimDuration::from_micros(10),
-            lnic_sim::fault::LinkDown(SimDuration::from_micros(20)),
+            lnic_sim::fault::LinkDown {
+                port: 0,
+                duration: SimDuration::from_micros(20),
+            },
         );
         // Before, during, and after the flap window.
         sim.post(link, SimDuration::from_micros(5), packet_with_payload(10));
@@ -599,7 +624,7 @@ mod tests {
         sim.post(link, SimDuration::from_micros(31), packet_with_payload(10));
         sim.run();
         assert_eq!(sim.get::<Recorder>(sink).unwrap().arrivals.len(), 2);
-        let l = sim.get::<Link>(link).unwrap();
+        let l = port(&sim, link);
         assert_eq!(l.dropped(), 2);
         assert_eq!(l.fault_drops(), 2);
     }
@@ -618,11 +643,14 @@ mod tests {
         let mut sim = Simulation::new(1);
         sim.add_trace_sink(Box::new(RingSink::new(64)));
         let sink = sim.add(Recorder { arrivals: vec![] });
-        let link = sim.add(Link::new(sink, params));
+        let link = sim.add(Harness::new(sink, params));
         sim.post(
             link,
             SimDuration::ZERO,
-            lnic_sim::fault::LinkDown(SimDuration::from_micros(20)),
+            lnic_sim::fault::LinkDown {
+                port: 0,
+                duration: SimDuration::from_micros(20),
+            },
         );
         // One mid-reassembly RDMA fragment and one plain single-packet
         // request, both inside the flap window.
@@ -645,7 +673,7 @@ mod tests {
         sim.post(link, SimDuration::from_micros(5), frag);
         sim.post(link, SimDuration::from_micros(6), packet_with_payload(10));
         sim.run();
-        assert_eq!(sim.get::<Link>(link).unwrap().fault_drops(), 2);
+        assert_eq!(port(&sim, link).fault_drops(), 2);
         let ring = sim.trace_sink::<RingSink>().unwrap();
         let frag_drops: Vec<_> = ring
             .records()
@@ -678,6 +706,7 @@ mod tests {
             link,
             SimDuration::ZERO,
             lnic_sim::fault::LossBurst {
+                port: 0,
                 duration: SimDuration::from_micros(500),
                 prob: 0.9,
             },
@@ -686,7 +715,7 @@ mod tests {
             sim.post(link, SimDuration::from_micros(i), packet_with_payload(10));
         }
         sim.run();
-        let l = sim.get::<Link>(link).unwrap();
+        let l = port(&sim, link);
         let dropped = l.fault_drops();
         assert!((350..=500).contains(&dropped), "burst dropped {dropped}");
         // Everything after the window sailed through.
@@ -708,6 +737,7 @@ mod tests {
             link,
             SimDuration::ZERO,
             lnic_sim::fault::Reorder {
+                port: 0,
                 duration: SimDuration::from_millis(1),
                 spread: SimDuration::from_micros(50),
             },
@@ -742,6 +772,7 @@ mod tests {
             link,
             SimDuration::ZERO,
             lnic_sim::fault::Duplicate {
+                port: 0,
                 duration: SimDuration::from_millis(1),
                 prob: 1.0,
             },
@@ -755,7 +786,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.get::<Recorder>(sink).unwrap().arrivals.len(), 10);
-        let l = sim.get::<Link>(link).unwrap();
+        let l = port(&sim, link);
         assert_eq!(l.delivered(), 5);
         assert_eq!(l.duplicated(), 5);
         assert_eq!(l.dropped(), 0);
@@ -774,6 +805,7 @@ mod tests {
             link,
             SimDuration::ZERO,
             lnic_sim::fault::Corrupt {
+                port: 0,
                 duration: SimDuration::from_millis(10),
                 prob: 1.0,
             },
@@ -788,7 +820,7 @@ mod tests {
         // One clean frame after the window closes.
         sim.post(link, SimDuration::from_millis(20), packet_with_payload(32));
         sim.run();
-        let l = sim.get::<Link>(link).unwrap();
+        let l = port(&sim, link);
         // Every single-bit flip past the Ethernet header is caught by the
         // IPv4/UDP checksums, so nothing mangled reaches the receiver.
         assert_eq!(l.corrupt_detected(), 100);

@@ -1,46 +1,106 @@
-//! A store-and-forward Ethernet switch.
+//! A store-and-forward Ethernet switch that owns every port.
 //!
-//! The testbed's Arista DCS-7124S (§6.1.2) is modeled as a switch with a
-//! static forwarding table from destination MAC to output port. Each output
-//! port is a [`crate::link::Link`] component, which provides the per-port
-//! serialization and queueing behaviour; the switch itself adds a fixed
-//! forwarding latency per frame.
+//! The testbed's Arista DCS-7124S (§6.1.2) is one switch with a static
+//! forwarding table from destination MAC to output port and a FIFO queue
+//! per port. [`Switch::attach`] gives an endpoint an ingress [`Port`] (its
+//! uplink) and an egress one (the switch's output toward it); the
+//! endpoint's uplink is the switch itself. A frame takes three events:
+//! *ingress* (a frame whose [`Ctx::sender`] is attached runs that sender's
+//! ingress port at the event's instant and sequence number, and comes back
+//! to the switch at its arrival), *forward* (a frame the switch sent
+//! itself is looked up, and its egress port runs at once for the instant
+//! the frame reaches it, `forwarding_latency` later) and *delivery*.
+//! Ingress is exact; DESIGN.md ("Network") lists the three points where
+//! running the egress port early can differ from running it at its own
+//! event. The egress `LinkTx` record is stamped at the forward.
 
 use lnic_sim::hash::FastMap;
 use lnic_sim::prelude::*;
 
 use crate::addr::MacAddr;
+use crate::link::{open_fault, Port};
 use crate::packet::Packet;
-use crate::params::SwitchParams;
+use crate::params::{LinkParams, SwitchParams};
 
 /// An N-port switch forwarding frames by destination MAC.
 ///
-/// Frames addressed to an unknown MAC are counted and dropped (the testbed
-/// uses static addressing, so an unknown MAC indicates a wiring bug in the
-/// experiment, not normal flooding).
+/// Frames addressed to an unknown MAC, and frames from a sender that is
+/// not attached, are counted and dropped (the testbed uses static
+/// addressing, so either indicates a wiring bug in the experiment, not
+/// normal flooding).
+///
+/// The link faults of [`lnic_sim::fault`] (`LinkDown`, `LossBurst`,
+/// `Reorder`, `Duplicate`, `Corrupt`) are sent to the switch and name
+/// the port they open their window on.
 pub struct Switch {
     params: SwitchParams,
-    /// Output port (a simplex `Link` component) per destination MAC.
-    fib: FastMap<MacAddr, ComponentId>,
+    /// Every port, in attach order: ingress then egress per
+    /// [`Switch::attach`].
+    ports: Vec<Port>,
+    /// Ingress port per sender, indexed by component index.
+    ingress: Vec<Option<usize>>,
+    /// Egress port and endpoint per destination MAC.
+    fib: FastMap<MacAddr, (usize, ComponentId)>,
     forwarded: Counter,
     unroutable: Counter,
 }
 
 impl Switch {
-    /// Creates a switch with the given parameters and an empty forwarding
-    /// table.
+    /// Creates a switch with the given parameters and no ports.
     pub fn new(params: SwitchParams) -> Self {
         Switch {
             params,
+            ports: Vec::new(),
+            ingress: Vec::new(),
             fib: FastMap::default(),
             forwarded: Counter::new(),
             unroutable: Counter::new(),
         }
     }
 
-    /// Adds a forwarding entry: frames for `mac` leave through `port_link`.
-    pub fn connect(&mut self, mac: MacAddr, port_link: ComponentId) {
-        self.fib.insert(mac, port_link);
+    /// Attaches `endpoint`, whose frames come from `mac`'s owner, with an
+    /// ingress port for the frames it sends and an egress port for frames
+    /// addressed to `mac`, both with `params`. Returns the two port
+    /// indices. A later attach of the same MAC takes its frames over.
+    pub fn attach(
+        &mut self,
+        endpoint: ComponentId,
+        mac: MacAddr,
+        params: LinkParams,
+    ) -> (usize, usize) {
+        let ingress = self.attach_sender(endpoint, params);
+        let egress = self.ports.len();
+        self.ports.push(Port::new(params));
+        self.fib.insert(mac, (egress, endpoint));
+        (ingress, egress)
+    }
+
+    /// Attaches `endpoint` as a sender only: an ingress port with
+    /// `params` and no forwarding entry. A hybrid worker's host shares its
+    /// NIC's MAC but has its own uplink. Returns the port index.
+    pub fn attach_sender(&mut self, endpoint: ComponentId, params: LinkParams) -> usize {
+        let port = self.ports.len();
+        self.ports.push(Port::new(params));
+        let slot = endpoint.index();
+        if self.ingress.len() <= slot {
+            self.ingress.resize(slot + 1, None);
+        }
+        self.ingress[slot] = Some(port);
+        port
+    }
+
+    /// The port with index `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no such port was attached.
+    pub fn port(&self, index: usize) -> &Port {
+        &self.ports[index]
+    }
+
+    /// Number of ports attached.
+    pub fn port_count(&self) -> usize {
+        self.ports.len()
     }
 
     /// Number of frames forwarded.
@@ -48,9 +108,39 @@ impl Switch {
         self.forwarded.get()
     }
 
-    /// Number of frames dropped for lack of a forwarding entry.
+    /// Number of frames dropped for lack of a forwarding entry or of an
+    /// ingress port for their sender.
     pub fn unroutable(&self) -> u64 {
         self.unroutable.get()
+    }
+
+    fn drop_unroutable(&mut self, ctx: &mut Ctx<'_>, packet: &Packet) {
+        let bytes = packet.wire_len() as u64;
+        self.unroutable.incr();
+        ctx.emit(|| TraceEvent::SwitchDrop { bytes });
+    }
+
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, packet: Box<Packet>) {
+        let me = ctx.self_id();
+        let (port, at, seq, dst) = if ctx.sender() == Some(me) {
+            let Some(&(port, dst)) = self.fib.get(&packet.eth.dst) else {
+                return self.drop_unroutable(ctx, &packet);
+            };
+            self.forwarded.incr();
+            let bytes = packet.wire_len() as u64;
+            ctx.emit(|| TraceEvent::SwitchForward { bytes });
+            // The frame's instant at the egress port; every hand-back due
+            // by then counts.
+            let at = ctx.now() + self.params.forwarding_latency;
+            (port, at, u64::MAX, dst)
+        } else {
+            let sender = ctx.sender().map(ComponentId::index);
+            let Some(port) = sender.and_then(|s| self.ingress.get(s).copied().flatten()) else {
+                return self.drop_unroutable(ctx, &packet);
+            };
+            (port, ctx.now(), ctx.event_seq(), me)
+        };
+        self.ports[port].transmit(ctx, at, seq, dst, packet);
     }
 }
 
@@ -60,20 +150,12 @@ impl Component for Switch {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        let packet = msg
-            .downcast::<Packet>()
-            .expect("switches forward Packet frames");
-        let bytes = packet.wire_len() as u64;
-        match self.fib.get(&packet.eth.dst) {
-            Some(&port) => {
-                self.forwarded.incr();
-                ctx.emit(|| TraceEvent::SwitchForward { bytes });
-                ctx.send_boxed(port, self.params.forwarding_latency, packet);
-            }
-            None => {
-                self.unroutable.incr();
-                ctx.emit(|| TraceEvent::SwitchDrop { bytes });
-            }
+        let msg = match msg.downcast::<Packet>() {
+            Ok(packet) => return self.on_frame(ctx, packet),
+            Err(other) => other,
+        };
+        if open_fault(&mut self.ports, ctx.now(), msg).is_err() {
+            panic!("switches take Packet frames and link faults");
         }
     }
 }
@@ -82,15 +164,27 @@ impl Component for Switch {
 mod tests {
     use super::*;
     use crate::addr::{Ipv4Addr, SocketAddr};
-    use crate::link::Link;
     use crate::params::LinkParams;
 
-    struct Sink {
-        got: Vec<Packet>,
+    /// Tells a [`Host`] to send one frame to a MAC.
+    #[derive(Debug)]
+    struct SendTo(MacAddr);
+
+    /// An endpoint: sends a frame through `uplink` on [`SendTo`], and
+    /// records `(instant, frame)` for every frame it receives.
+    struct Host {
+        uplink: ComponentId,
+        got: Vec<(SimTime, Packet)>,
     }
-    impl Component for Sink {
-        fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
-            self.got.push(*msg.downcast::<Packet>().unwrap());
+    impl Component for Host {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
+            match msg.downcast::<Packet>() {
+                Ok(p) => self.got.push((ctx.now(), *p)),
+                Err(other) => {
+                    let SendTo(dst) = *other.downcast::<SendTo>().unwrap();
+                    ctx.send(self.uplink, SimDuration::ZERO, packet_to(dst));
+                }
+            }
         }
     }
 
@@ -104,65 +198,149 @@ mod tests {
             .build()
     }
 
+    /// A host and its `(ingress, egress)` ports.
+    type Attached = (ComponentId, (usize, usize));
+
+    /// A switch with one attached [`Host`] per MAC index in `macs`, all
+    /// ports with `link`. Returns the simulation, the switch, and each
+    /// host with its `(ingress, egress)` ports.
+    fn bed(
+        params: SwitchParams,
+        link: LinkParams,
+        macs: &[u32],
+    ) -> (Simulation, ComponentId, Vec<Attached>) {
+        let mut sim = Simulation::new(1);
+        let switch = sim.add(Switch::new(params));
+        let hosts = macs
+            .iter()
+            .map(|&m| {
+                let host = sim.add(Host {
+                    uplink: switch,
+                    got: vec![],
+                });
+                let sw = sim.get_mut::<Switch>(switch).unwrap();
+                (host, sw.attach(host, MacAddr::from_index(m), link))
+            })
+            .collect();
+        (sim, switch, hosts)
+    }
+
+    fn got(sim: &Simulation, host: ComponentId) -> &[(SimTime, Packet)] {
+        &sim.get::<Host>(host).unwrap().got
+    }
+
     #[test]
     fn forwards_by_destination_mac() {
-        let mut sim = Simulation::new(1);
-        let sink_a = sim.add(Sink { got: vec![] });
-        let sink_b = sim.add(Sink { got: vec![] });
-        let link_a = sim.add(Link::new(sink_a, LinkParams::ten_gbps()));
-        let link_b = sim.add(Link::new(sink_b, LinkParams::ten_gbps()));
-        let mac_a = MacAddr::from_index(10);
-        let mac_b = MacAddr::from_index(20);
-        let mut sw = Switch::new(SwitchParams::default());
-        sw.connect(mac_a, link_a);
-        sw.connect(mac_b, link_b);
-        let sw = sim.add(sw);
-
-        sim.post(sw, SimDuration::ZERO, packet_to(mac_a));
-        sim.post(sw, SimDuration::ZERO, packet_to(mac_b));
-        sim.post(sw, SimDuration::ZERO, packet_to(mac_b));
+        let (mut sim, sw, hosts) = bed(
+            SwitchParams::default(),
+            LinkParams::ten_gbps(),
+            &[10, 20, 30],
+        );
+        let (a, b, src) = (hosts[0].0, hosts[1].0, hosts[2].0);
+        sim.post(src, SimDuration::ZERO, SendTo(MacAddr::from_index(10)));
+        sim.post(src, SimDuration::ZERO, SendTo(MacAddr::from_index(20)));
+        sim.post(src, SimDuration::ZERO, SendTo(MacAddr::from_index(20)));
         sim.run();
 
-        assert_eq!(sim.get::<Sink>(sink_a).unwrap().got.len(), 1);
-        assert_eq!(sim.get::<Sink>(sink_b).unwrap().got.len(), 2);
-        assert_eq!(sim.get::<Switch>(sw).unwrap().forwarded(), 3);
+        assert_eq!(got(&sim, a).len(), 1);
+        assert_eq!(got(&sim, b).len(), 2);
+        let sw = sim.get::<Switch>(sw).unwrap();
+        assert_eq!(sw.forwarded(), 3);
+        assert_eq!(sw.port_count(), 6);
+        assert_eq!(sw.port(hosts[2].1 .0).delivered(), 3);
+        assert_eq!(sw.port(hosts[1].1 .1).delivered(), 2);
     }
 
     #[test]
     fn unknown_mac_dropped_and_counted() {
-        let mut sim = Simulation::new(1);
-        let sw = sim.add(Switch::new(SwitchParams::default()));
-        sim.post(sw, SimDuration::ZERO, packet_to(MacAddr::from_index(99)));
+        let (mut sim, sw, hosts) = bed(SwitchParams::default(), LinkParams::ten_gbps(), &[1]);
+        sim.post(
+            hosts[0].0,
+            SimDuration::ZERO,
+            SendTo(MacAddr::from_index(99)),
+        );
         sim.run();
         assert_eq!(sim.get::<Switch>(sw).unwrap().unroutable(), 1);
         assert_eq!(sim.get::<Switch>(sw).unwrap().forwarded(), 0);
     }
 
     #[test]
-    fn forwarding_latency_applied() {
-        let mut sim = Simulation::new(1);
-        struct Stamp {
-            at: Option<SimTime>,
-        }
-        impl Component for Stamp {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMessage) {
-                self.at = Some(ctx.now());
-            }
-        }
-        let sink = sim.add(Stamp { at: None });
-        let mac = MacAddr::from_index(1);
-        let mut sw = Switch::new(SwitchParams {
-            forwarding_latency: SimDuration::from_nanos(777),
+    fn frames_from_unattached_senders_are_dropped_and_counted() {
+        let (mut sim, sw, hosts) = bed(SwitchParams::default(), LinkParams::ten_gbps(), &[1]);
+        let stranger = sim.add(Host {
+            uplink: sw,
+            got: vec![],
         });
-        // Wire the MAC directly to the sink (no link) to isolate the
-        // switch's own latency.
-        sw.connect(mac, sink);
-        let sw = sim.add(sw);
+        let mac = MacAddr::from_index(1);
+        sim.post(stranger, SimDuration::ZERO, SendTo(mac));
+        // Posted from outside any component: no sender at all.
         sim.post(sw, SimDuration::ZERO, packet_to(mac));
         sim.run();
-        assert_eq!(
-            sim.get::<Stamp>(sink).unwrap().at,
-            Some(SimTime::from_nanos(777))
+        assert!(got(&sim, hosts[0].0).is_empty());
+        let sw = sim.get::<Switch>(sw).unwrap();
+        assert_eq!(sw.unroutable(), 2);
+        assert_eq!(sw.forwarded(), 0);
+    }
+
+    #[test]
+    fn forwarding_latency_applied() {
+        // 1 Gbps: 8 ns per byte, so a 42-byte frame serializes in 336 ns
+        // on each port, then propagates for 100 ns.
+        let link = LinkParams {
+            bandwidth_bps: 1_000_000_000,
+            propagation: SimDuration::from_nanos(100),
+            ..LinkParams::ten_gbps()
+        };
+        let params = SwitchParams {
+            forwarding_latency: SimDuration::from_nanos(777),
+        };
+        let (mut sim, _, hosts) = bed(params, link, &[1, 2]);
+        sim.post(
+            hosts[0].0,
+            SimDuration::ZERO,
+            SendTo(MacAddr::from_index(2)),
         );
+        sim.run();
+        let arrivals: Vec<u64> = got(&sim, hosts[1].0)
+            .iter()
+            .map(|(t, _)| t.as_nanos())
+            .collect();
+        assert_eq!(arrivals, vec![336 + 100 + 777 + 336 + 100]);
+    }
+
+    #[test]
+    fn link_faults_open_windows_on_the_named_port() {
+        use lnic_sim::fault::{Duplicate, LinkDown};
+        let (mut sim, sw, hosts) = bed(SwitchParams::default(), LinkParams::ten_gbps(), &[1, 2]);
+        let (a, (a_up, _)) = hosts[0];
+        let (b, (_, b_down)) = hosts[1];
+        let to_b = || SendTo(MacAddr::from_index(2));
+        // a's uplink is dark for the first 10 us; b's port duplicates
+        // every frame for the next 10 us.
+        sim.post(
+            sw,
+            SimDuration::ZERO,
+            LinkDown {
+                port: a_up,
+                duration: SimDuration::from_micros(10),
+            },
+        );
+        sim.post(
+            sw,
+            SimDuration::from_micros(10),
+            Duplicate {
+                port: b_down,
+                duration: SimDuration::from_micros(10),
+                prob: 1.0,
+            },
+        );
+        sim.post(a, SimDuration::from_micros(5), to_b());
+        sim.post(a, SimDuration::from_micros(12), to_b());
+        sim.post(a, SimDuration::from_micros(30), to_b());
+        sim.run();
+        assert_eq!(got(&sim, b).len(), 3);
+        let sw = sim.get::<Switch>(sw).unwrap();
+        assert_eq!(sw.port(a_up).fault_drops(), 1);
+        assert_eq!(sw.port(b_down).duplicated(), 1);
     }
 }

@@ -274,7 +274,7 @@ struct StageDone {
 
 /// The simulated SmartNIC.
 ///
-/// Wire it to a switch via a simplex uplink [`lnic_net::link::Link`], load
+/// Attach it to a [`lnic_net::switch::Switch`] and make that its uplink, load
 /// a [`Firmware`], and send it [`Packet`]s.
 pub struct Nic {
     params: NicParams,

@@ -11,9 +11,9 @@ use lnic_mlambda::compile::{compile, CompileOptions, Firmware};
 use lnic_mlambda::ir::ObjId;
 use lnic_mlambda::program::{Lambda, MemObject, Program, WorkloadId};
 use lnic_net::frag::fragment;
-use lnic_net::link::Link;
 use lnic_net::packet::{LambdaHdr, LambdaKind, Packet};
-use lnic_net::params::LinkParams;
+use lnic_net::params::{LinkParams, SwitchParams};
+use lnic_net::switch::Switch;
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_nic::{LoadFirmware, Nic, NicParams, ServiceEndpoint};
 use lnic_sim::prelude::*;
@@ -105,12 +105,28 @@ fn request_packet(workload: u32, request_id: u64, payload: &[u8]) -> Packet {
         .build()
 }
 
-/// Wires gateway-sink <- link <- NIC and returns (sim, nic id, sink id).
+/// Adds a gateway sink and the NIC `build` makes for a given uplink,
+/// both attached to a switch that is the NIC's uplink. Returns (nic id,
+/// sink id).
+fn wire(
+    sim: &mut Simulation,
+    build: impl FnOnce(ComponentId) -> Nic,
+) -> (ComponentId, ComponentId) {
+    let switch = sim.add(Switch::new(SwitchParams::default()));
+    let sink = sim.add(GwSink { responses: vec![] });
+    let nic = sim.add(build(switch));
+    let sw = sim.get_mut::<Switch>(switch).unwrap();
+    sw.attach(sink, GW_MAC, LinkParams::ten_gbps());
+    sw.attach(nic, NIC_MAC, LinkParams::ten_gbps());
+    (nic, sink)
+}
+
+/// Wires gateway-sink <- switch <- NIC and returns (sim, nic id, sink id).
 fn testbed(params: NicParams, fw: Arc<Firmware>) -> (Simulation, ComponentId, ComponentId) {
     let mut sim = Simulation::new(7);
-    let sink = sim.add(GwSink { responses: vec![] });
-    let to_gw = sim.add(Link::new(sink, LinkParams::ten_gbps()));
-    let nic = sim.add(Nic::new(params, NIC_MAC, NIC_ADDR.ip, to_gw).preload(fw));
+    let (nic, sink) = wire(&mut sim, |uplink| {
+        Nic::new(params, NIC_MAC, NIC_ADDR.ip, uplink).preload(fw)
+    });
     (sim, nic, sink)
 }
 
@@ -249,7 +265,6 @@ fn lambda_rpc_reaches_service_and_response_resumes_thread() {
     let fw = compile_fw(&rpc_program());
     let mut sim = Simulation::new(3);
     let sink = sim.add(GwSink { responses: vec![] });
-    let to_gw = sim.add(Link::new(sink, LinkParams::ten_gbps()));
 
     // Service wiring: NIC -> (uplink picks dst by mac) ... simplify by
     // letting the service receive directly and reply via a link to the NIC.
@@ -289,7 +304,7 @@ fn lambda_rpc_reaches_service_and_response_resumes_thread() {
         requests: 0,
     });
     sim.get_mut::<Demux>(demux).unwrap().by_mac =
-        vec![(GW_MAC, to_gw), (svc_mac, svc), (NIC_MAC, nic)];
+        vec![(GW_MAC, sink), (svc_mac, svc), (NIC_MAC, nic)];
 
     sim.post(nic, SimDuration::ZERO, request_packet(2, 77, b""));
     sim.run();
@@ -331,13 +346,13 @@ fn rpc_timeout_retries_then_fails() {
 fn firmware_swap_incurs_downtime_then_serves() {
     let fw = compile_fw(&web_program(b"v1"));
     let mut sim = Simulation::new(1);
-    let sink = sim.add(GwSink { responses: vec![] });
-    let to_gw = sim.add(Link::new(sink, LinkParams::ten_gbps()));
     let params = NicParams {
         firmware_swap_time: SimDuration::from_secs(2),
         ..NicParams::agilio_cx()
     };
-    let nic = sim.add(Nic::new(params, NIC_MAC, NIC_ADDR.ip, to_gw));
+    let (nic, sink) = wire(&mut sim, |uplink| {
+        Nic::new(params, NIC_MAC, NIC_ADDR.ip, uplink)
+    });
 
     sim.post(
         nic,
@@ -373,14 +388,12 @@ fn non_lambda_traffic_punts_to_host() {
     }
     let fw = compile_fw(&web_program(b"x"));
     let mut sim = Simulation::new(1);
-    let sink = sim.add(GwSink { responses: vec![] });
-    let to_gw = sim.add(Link::new(sink, LinkParams::ten_gbps()));
     let host = sim.add(HostSink { got: 0 });
-    let nic = sim.add(
-        Nic::new(NicParams::agilio_cx(), NIC_MAC, NIC_ADDR.ip, to_gw)
+    let (nic, _) = wire(&mut sim, |uplink| {
+        Nic::new(NicParams::agilio_cx(), NIC_MAC, NIC_ADDR.ip, uplink)
             .preload(fw)
-            .with_host(host),
-    );
+            .with_host(host)
+    });
 
     // Plain UDP to a non-RPC port: host traffic.
     let plain = Packet::builder()
@@ -442,7 +455,6 @@ fn lambda_with_two_sequential_rpcs_suspends_twice() {
 
     let mut sim = Simulation::new(4);
     let sink = sim.add(GwSink { responses: vec![] });
-    let to_gw = sim.add(Link::new(sink, LinkParams::ten_gbps()));
     let svc_mac = MacAddr::new([2, 0, 0, 0, 0, 9]);
     let svc_addr = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 9), 11211);
 
@@ -477,7 +489,7 @@ fn lambda_with_two_sequential_rpcs_suspends_twice() {
         requests: 0,
     });
     sim.get_mut::<Demux2>(demux).unwrap().by_mac =
-        vec![(GW_MAC, to_gw), (svc_mac, svc), (NIC_MAC, nic)];
+        vec![(GW_MAC, sink), (svc_mac, svc), (NIC_MAC, nic)];
 
     sim.post(nic, SimDuration::ZERO, request_packet(8, 5, b""));
     sim.run();

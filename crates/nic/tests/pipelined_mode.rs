@@ -11,9 +11,9 @@ use lnic_mlambda::builder::FnBuilder;
 use lnic_mlambda::compile::{compile, CompileOptions, Firmware};
 use lnic_mlambda::ir::ObjId;
 use lnic_mlambda::program::{Lambda, MemObject, Program, WorkloadId};
-use lnic_net::link::Link;
 use lnic_net::packet::{LambdaHdr, Packet};
-use lnic_net::params::LinkParams;
+use lnic_net::params::{LinkParams, SwitchParams};
+use lnic_net::switch::Switch;
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_nic::params::ExecMode;
 use lnic_nic::{Nic, NicParams};
@@ -51,9 +51,12 @@ fn web_fw(content: &[u8]) -> Arc<Firmware> {
 
 fn run(params: NicParams, requests: u64, spacing_ns: u64) -> Vec<(SimTime, Packet)> {
     let mut sim = Simulation::new(9);
+    let switch = sim.add(Switch::new(SwitchParams::default()));
     let sink = sim.add(Sink { responses: vec![] });
-    let link = sim.add(Link::new(sink, LinkParams::ten_gbps()));
-    let nic = sim.add(Nic::new(params, NIC_MAC, NIC_ADDR.ip, link).preload(web_fw(b"pipelined")));
+    let nic = sim.add(Nic::new(params, NIC_MAC, NIC_ADDR.ip, switch).preload(web_fw(b"pipelined")));
+    let sw = sim.get_mut::<Switch>(switch).unwrap();
+    sw.attach(sink, GW_MAC, LinkParams::ten_gbps());
+    sw.attach(nic, NIC_MAC, LinkParams::ten_gbps());
     for i in 0..requests {
         let pkt = Packet::builder()
             .eth(GW_MAC, NIC_MAC)

@@ -13,7 +13,7 @@
 //! This module also defines the component-level control messages
 //! ([`Crash`], [`Restart`], [`StallFor`], [`LinkDown`], [`LossBurst`],
 //! [`HealthPing`]/[`HealthPong`], the lease messages) in the sim crate
-//! so every backend (NIC, host, links, controllers) can downcast them
+//! so every backend (NIC, host, switch, controllers) can downcast them
 //! without new inter-crate dependencies; [`crate::lease`] holds the
 //! member side of the lease protocol they carry.
 
@@ -40,16 +40,23 @@ pub struct Restart;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StallFor(pub SimDuration);
 
-/// Control message: the target link drops every frame for the given
-/// duration (a flap), then recovers by itself.
+/// Control message to a switch: its port `port` drops every frame for
+/// `duration` (a flap), then recovers by itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkDown(pub SimDuration);
+pub struct LinkDown {
+    /// Index of the port on the switch.
+    pub port: usize,
+    /// How long the port stays dark.
+    pub duration: SimDuration,
+}
 
-/// Control message: the target link drops frames with probability
-/// `prob` for `duration` (a correlated loss burst), then returns to its
-/// configured baseline loss rate.
+/// Control message to a switch: its port `port` drops frames with
+/// probability `prob` for `duration` (a correlated loss burst), then
+/// returns to its configured baseline loss rate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LossBurst {
+    /// Index of the port on the switch.
+    pub port: usize,
     /// How long the burst lasts.
     pub duration: SimDuration,
     /// Drop probability while the burst is active.
@@ -70,34 +77,40 @@ pub struct Slowdown {
     pub duration: SimDuration,
 }
 
-/// Control message: for `duration`, the target link delays each frame by
-/// an extra uniform jitter up to `spread`, so later frames can overtake
-/// earlier ones (reordering).
+/// Control message to a switch: for `duration`, its port `port` delays
+/// each frame by an extra uniform jitter up to `spread`, so later frames
+/// can overtake earlier ones (reordering).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reorder {
+    /// Index of the port on the switch.
+    pub port: usize,
     /// How long the reorder window lasts.
     pub duration: SimDuration,
     /// Maximum extra per-frame delay drawn uniformly at random.
     pub spread: SimDuration,
 }
 
-/// Control message: for `duration`, the target link delivers each frame
-/// twice with probability `prob` (a misbehaving switch or a retransmit
-/// race at the PHY).
+/// Control message to a switch: for `duration`, its port `port` delivers
+/// each frame twice with probability `prob` (a misbehaving switch or a
+/// retransmit race at the PHY).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Duplicate {
+    /// Index of the port on the switch.
+    pub port: usize,
     /// How long the duplication window lasts.
     pub duration: SimDuration,
     /// Probability that a frame is delivered twice.
     pub prob: f64,
 }
 
-/// Control message: for `duration`, the target link flips one random bit
-/// per frame with probability `prob`. The receiving NIC's checksum
-/// verification must detect (and drop) the mangled frame rather than
-/// execute it.
+/// Control message to a switch: for `duration`, its port `port` flips
+/// one random bit per frame with probability `prob`. The receiving NIC's
+/// checksum verification must detect (and drop) the mangled frame rather
+/// than execute it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Corrupt {
+    /// Index of the port on the switch.
+    pub port: usize,
     /// How long the corruption window lasts.
     pub duration: SimDuration,
     /// Probability that a frame gets one bit flipped.
@@ -220,14 +233,14 @@ pub enum FaultEvent {
     },
     /// Link `link` goes dark for `duration`.
     LinkFlap {
-        /// Index of the link in the testbed's link table.
+        /// Index of the link: the testbed switch's port of that index.
         link: usize,
         /// How long the link stays down.
         duration: SimDuration,
     },
     /// Link `link` drops frames with probability `prob` for `duration`.
     LossBurst {
-        /// Index of the link in the testbed's link table.
+        /// Index of the link: the testbed switch's port of that index.
         link: usize,
         /// How long the burst lasts.
         duration: SimDuration,
@@ -254,7 +267,7 @@ pub enum FaultEvent {
     /// Link `link` reorders frames for `duration` by delaying each one
     /// an extra uniform amount up to `spread`.
     Reorder {
-        /// Index of the link in the testbed's link table.
+        /// Index of the link: the testbed switch's port of that index.
         link: usize,
         /// How long the reorder window lasts.
         duration: SimDuration,
@@ -264,7 +277,7 @@ pub enum FaultEvent {
     /// Link `link` duplicates frames with probability `prob` for
     /// `duration`.
     Duplicate {
-        /// Index of the link in the testbed's link table.
+        /// Index of the link: the testbed switch's port of that index.
         link: usize,
         /// How long the duplication window lasts.
         duration: SimDuration,
@@ -274,7 +287,7 @@ pub enum FaultEvent {
     /// Link `link` flips one random bit per frame with probability
     /// `prob` for `duration`.
     Corrupt {
-        /// Index of the link in the testbed's link table.
+        /// Index of the link: the testbed switch's port of that index.
         link: usize,
         /// How long the corruption window lasts.
         duration: SimDuration,

@@ -381,19 +381,20 @@ fn hedged_tier_suppresses_reorder_and_duplicate_storms() {
     bed.sim
         .post(driver, SimDuration::from_millis(50), StartDriver);
 
-    // Duplicate every frame at every gateway shard's links (the tier
-    // links sit at the end of the link table), reorder every worker
-    // uplink.
+    // Duplicate every frame at every gateway shard's links, reorder
+    // every worker uplink.
     let at = SimTime::ZERO + SimDuration::from_millis(100);
     let window = SimDuration::from_millis(800);
-    let mut plan = FaultPlan::new()
-        .duplicate(0, at, window, 1.0)
-        .duplicate(1, at, window, 1.0);
-    for idx in bed.links.len() - 2 * EXTRA_SHARDS..bed.links.len() {
-        plan = plan.duplicate(idx, at, window, 1.0);
+    let mut plan = FaultPlan::new();
+    for g in 0..=EXTRA_SHARDS {
+        let (uplink, port) = bed.gateway_ports(g);
+        plan = plan
+            .duplicate(uplink, at, window, 1.0)
+            .duplicate(port, at, window, 1.0);
     }
     for w in 0..3 {
-        plan = plan.reorder(4 + 2 * w, at, window, SimDuration::from_micros(80));
+        let uplink = bed.worker_ports(w).0;
+        plan = plan.reorder(uplink, at, window, SimDuration::from_micros(80));
     }
     bed.inject_faults(&plan);
 
